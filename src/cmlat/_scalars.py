@@ -44,13 +44,5 @@ def pow_scalar(value, alpha):
             return Fraction(1) if not isinstance(value, float) else 1.0
         return Fraction(0) if not isinstance(value, float) else 0.0
     if is_integral(alpha):
-        k = int(alpha)
-        if not isinstance(value, float):
-            return value ** k
-        return value ** k
+        return value ** int(alpha)
     return float(value) ** float(alpha)
-
-
-def scalar_max(values):
-    """Maximum of a value tuple, 0 for the empty tuple."""
-    return max(values) if values else 0

@@ -104,39 +104,6 @@ def load_distribution(spec: str):
     return randset_mod.read_distribution_file(spec)
 
 
-def parse_void_text(text: str) -> randset_mod.VoidFunctional:
-    """Void-functional document: 'n' then one 'mask value' line per mask."""
-    n = None
-    table = None
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise FormatError("expected the ground-set size alone", line=lineno)
-            n = int(fields[0])
-            table = [None] * (1 << n)
-            continue
-        if len(fields) != 2:
-            raise FormatError("expected 'mask value'", line=lineno)
-        mask = int(fields[0])
-        if not 0 <= mask < (1 << n):
-            raise FormatError(f"mask {mask} out of range", line=lineno)
-        if mask in seen:
-            raise FormatError(f"duplicate mask {mask}", line=lineno)
-        seen.add(mask)
-        table[mask] = _number(fields[1])
-    if n is None:
-        raise FormatError("empty void-functional document", line=1)
-    missing = [i for i, v in enumerate(table) if v is None]
-    if missing:
-        raise FormatError(f"missing entries for masks {missing[:4]}...")
-    return randset_mod.VoidFunctional(n, table)
-
-
 def _config(args, fields):
     cfg = {"seed": args.seed}
     for name in fields:
@@ -304,7 +271,7 @@ def cmd_randset_void(args):
 
 def cmd_randset_invert(args):
     with open(args.void, "r", encoding="utf-8") as fh:
-        v = parse_void_text(fh.read())
+        v = randset_mod.parse_void_text(fh.read())
     try:
         x = randset_mod.from_void(v)
     except NotAVoidFunctional as exc:
@@ -391,11 +358,8 @@ def cmd_randset_dist(args):
 
 def cmd_scan_s_set(args):
     x = load_distribution(args.dist)
-    result = scan_mod.scan_S(x, args.T, step=args.step)
-    rows = [
-        (alpha, min_q, argmin, mask_set(argmin, x.n))
-        for alpha, min_q, argmin in scan_mod.grid_scan(x, args.T, step=args.step)
-    ]
+    result, grid_rows = scan_mod._scan(x, args.T, args.step)
+    rows = [(alpha, min_q, argmin, mask_set(argmin, x.n)) for alpha, min_q, argmin in grid_rows]
     _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), rows)
     doc = {
         "command": "scan s-set",

@@ -28,6 +28,7 @@ from .errors import (
     ValueOutOfUnitInterval,
 )
 from .lattice import BooleanLattice, FiniteLattice, d_max, is_distributive
+from .randset import subset_mobius, subset_sums
 
 DEFAULT_REL_TOL = 1e-9
 RECONSTRUCT_CLAMP = 1e-12
@@ -138,18 +139,14 @@ def delta(f: LatticeFunction, args, base) -> object:
 def mobius_weights(f: LatticeFunction) -> WeightFunction:
     """Weights from the top-down recursion p(x) = f(x) - sum_{y > x} p(y).
 
-    Exact in rational mode; Boolean lattices use the superset-sum transform,
-    which computes the same weights in O(n 2^n).
+    Exact in rational mode; Boolean lattices use the superset Mobius
+    transform, which computes the same weights in O(n 2^n).
     """
     lat = f.lattice
     if isinstance(lat, BooleanLattice):
-        p = list(f.values)
-        for i in range(lat.ground_n):
-            bit = 1 << i
-            for mask in range(lat.n):
-                if not mask & bit:
-                    p[mask] -= p[mask | bit]
-        return WeightFunction(lat, p)
+        # top ^ mask reverses the index order, so a superset transform is the
+        # subset transform of the reversed values
+        return WeightFunction(lat, subset_mobius(f.values[::-1], lat.ground_n)[::-1])
     p = [0] * lat.n
     for x in lat.mobius_order():
         above = 0
@@ -164,12 +161,7 @@ def reconstruct(p: WeightFunction) -> LatticeFunction:
     """Function g(x) = sum_{y >= x} p(y); raises NegativeValue if any g < 0."""
     lat = p.lattice
     if isinstance(lat, BooleanLattice):
-        g = list(p.weights)
-        for i in range(lat.ground_n):
-            bit = 1 << i
-            for mask in range(lat.n):
-                if not mask & bit:
-                    g[mask] += g[mask | bit]
+        g = subset_sums(p.weights[::-1], lat.ground_n)[::-1]
     else:
         g = [sum(p.weights[y] for y in lat.up_set(x)) for x in lat.elements]
     return LatticeFunction(lat, g, _clamp=RECONSTRUCT_CLAMP)

@@ -6,6 +6,9 @@ representations through subset-sum (zeta) transforms, and Mobius inversion
 recovers the distribution from V.  The candidate mass of the alpha-th power
 is q(A) = sum over B inside A of (-1)^{|A|-|B|} P{X subset B}^alpha; the power
 exists exactly when every q(A) clears the tolerance.
+
+:func:`subset_sums` and :func:`subset_mobius` are the package's only subset
+transform (Yates' per-bit pass); `cm` and `scan` call them too.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
 from .errors import (
@@ -29,26 +34,27 @@ MASS_TOL = 1e-9
 SUM_TOL = 1e-12
 
 
-def subset_sums(values, ground_n):
-    """In-place zeta transform: out[B] = sum of values[A] over A inside B."""
-    out = list(values)
+def _per_bit(values, ground_n, op):
+    # float64 when every entry is a float; otherwise Python objects, so
+    # Fractions and big ints stay exact
+    if all(isinstance(v, float) for v in values):
+        a = np.array(values, dtype=float)
+    else:
+        a = np.array(values, dtype=object)
     for i in range(ground_n):
-        bit = 1 << i
-        for mask in range(len(out)):
-            if mask & bit:
-                out[mask] += out[mask ^ bit]
-    return out
+        v = a.reshape(-1, 2, 1 << i)  # v[:, 1, :] holds the masks with bit i set
+        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    return a.tolist()
+
+
+def subset_sums(values, ground_n):
+    """Zeta transform: out[B] = sum of values[A] over A inside B."""
+    return _per_bit(values, ground_n, np.add)
 
 
 def subset_mobius(values, ground_n):
     """Inverse of :func:`subset_sums`."""
-    out = list(values)
-    for i in range(ground_n):
-        bit = 1 << i
-        for mask in range(len(out)):
-            if mask & bit:
-                out[mask] -= out[mask ^ bit]
-    return out
+    return _per_bit(values, ground_n, np.subtract)
 
 
 def mask_set(mask, n) -> str:
@@ -150,9 +156,8 @@ class PowerVerdict:
 
 def void_functional(x: RandomSubset) -> VoidFunctional:
     """V(K) = P{X inside complement of K}, via one subset-sum transform."""
-    w = x.containment_table()
-    full = (1 << x.n) - 1
-    return VoidFunctional(x.n, [w[full ^ k] for k in range(1 << x.n)])
+    # mask full ^ K sits at the reversed index
+    return VoidFunctional(x.n, x.containment_table()[::-1])
 
 
 def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
@@ -162,9 +167,7 @@ def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
     -tol (exact negativity in rational mode); float masses in (-tol, 0) are
     clamped to zero.
     """
-    full = (1 << v.n) - 1
-    w = [v.table[full ^ b] for b in range(1 << v.n)]
-    masses = subset_mobius(w, v.n)
+    masses = subset_mobius(v.table[::-1], v.n)
     rational = v.kind == RATIONAL
     cutoff = 0 if rational else -tol
     worst = min(range(len(masses)), key=lambda a: masses[a])
@@ -302,37 +305,53 @@ def format_distribution_text(x: RandomSubset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_distribution_text(text: str) -> RandomSubset:
-    n = None
-    masses = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise FormatError("expected the ground-set size alone", line=lineno)
+def _read_mask_lines(text: str, document: str, value_name: str, number):
+    """Read an 'n' then 'mask value' document.
+
+    Returns n and an iterator of (line number, mask, value); the header and
+    its range are checked here, before the caller allocates a 2^n table.
+    ``number`` parses a value and raises ValueError on bad input.
+    """
+    lines = (
+        (lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), start=1)
+    )
+    lines = ((lineno, line) for lineno, line in lines if line)
+    header = next(lines, None)
+    if header is None:
+        raise FormatError(f"empty {document} document", line=1)
+    lineno, line = header
+    fields = line.split()
+    if len(fields) != 1:
+        raise FormatError("expected the ground-set size alone", line=lineno)
+    try:
+        n = int(fields[0])
+    except ValueError:
+        raise FormatError(f"bad ground-set size {fields[0]!r}", line=lineno) from None
+    if not 1 <= n <= GROUND_CAP:
+        raise FormatError(f"ground-set size {n} out of range", line=lineno)
+
+    def entries():
+        for lineno, line in lines:
+            fields = line.split()
+            if len(fields) != 2:
+                raise FormatError(f"expected 'mask {value_name}'", line=lineno)
             try:
-                n = int(fields[0])
-            except ValueError:
-                raise FormatError(f"bad ground-set size {fields[0]!r}", line=lineno) from None
-            if not 1 <= n <= GROUND_CAP:
-                raise FormatError(f"ground-set size {n} out of range", line=lineno)
-            masses = [Fraction(0)] * (1 << n)
-            continue
-        if len(fields) != 2:
-            raise FormatError("expected 'mask probability'", line=lineno)
-        try:
-            mask = int(fields[0])
-            p = Fraction(fields[1])
-        except ValueError:
-            raise FormatError(f"bad entry {line!r}", line=lineno) from None
-        if not 0 <= mask < (1 << n):
-            raise FormatError(f"mask {mask} out of range", line=lineno)
+                mask = int(fields[0])
+                value = number(fields[1])
+            except (ValueError, ZeroDivisionError):
+                raise FormatError(f"bad entry {line!r}", line=lineno) from None
+            if not 0 <= mask < (1 << n):
+                raise FormatError(f"mask {mask} out of range", line=lineno)
+            yield lineno, mask, value
+
+    return n, entries()
+
+
+def parse_distribution_text(text: str) -> RandomSubset:
+    n, entries = _read_mask_lines(text, "distribution", "probability", Fraction)
+    masses = [Fraction(0)] * (1 << n)
+    for _, mask, p in entries:
         masses[mask] += p
-    if n is None:
-        raise FormatError("empty distribution document", line=1)
     total = sum(masses)
     if total != 1 and abs(float(total) - 1.0) <= SUM_TOL:
         # decimal prints of binary64 masses: keep them, but as floats
@@ -341,6 +360,35 @@ def parse_distribution_text(text: str) -> RandomSubset:
         return RandomSubset(n, masses)
     except InvalidProbabilityVector as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _void_value(text: str):
+    # a decimal print of a binary64 table reads back as the floats it prints,
+    # so the float tolerance band applies to it
+    if not any(c in text for c in ".eE"):
+        return Fraction(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def parse_void_text(text: str) -> VoidFunctional:
+    """Void-functional document: 'n' then one 'mask value' line per mask.
+
+    Values written with '.', 'e' or 'E' are binary64 floats; integers and
+    'p/q' values stay exact.
+    """
+    n, entries = _read_mask_lines(text, "void-functional", "value", _void_value)
+    table = [None] * (1 << n)
+    for lineno, mask, value in entries:
+        if table[mask] is not None:
+            raise FormatError(f"duplicate mask {mask}", line=lineno)
+        table[mask] = value
+    missing = [i for i, v in enumerate(table) if v is None]
+    if missing:
+        raise FormatError(f"missing entries for masks {missing[:4]}...")
+    return VoidFunctional(n, table)
 
 
 def write_distribution_file(x: RandomSubset, path):

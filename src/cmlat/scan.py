@@ -18,7 +18,7 @@ import numpy as np
 
 from ._scalars import coerce_values
 from .errors import DomainViolation, SearchFailed
-from .randset import RandomSubset
+from .randset import RandomSubset, subset_sums
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -87,7 +87,11 @@ def q_poly(x: RandomSubset, a_mask: int) -> ExponentialPolynomial:
     """
     if not 0 <= a_mask < (1 << x.n):
         raise DomainViolation(f"subset mask {a_mask} out of range")
-    w = x.containment_table()
+    return _q_from_table(x.containment_table(), a_mask)
+
+
+def _q_from_table(w, a_mask):
+    """q(A) from a containment table w[B] = P{X subset B}."""
     size_a = bin(a_mask).count("1")
     terms = []
     sub = a_mask
@@ -138,33 +142,6 @@ class IntervalSet:
         return tuple((c.lo, c.hi) for c in self.components if not c.is_point)
 
 
-def grid_scan(x: RandomSubset, T, step: float = 0.01):
-    """Rows (alpha, min_A q(A), argmin mask) over the scan grid; the CSV view."""
-    if T <= 0 or step <= 0:
-        raise DomainViolation("need T > 0 and step > 0")
-    masks = [m for m in range(1 << x.n) if bin(m).count("1") >= 2]
-    polys = [q_poly(x, m) for m in masks]
-    count = int(round(float(T) / step))
-    grid = np.array([i * step for i in range(count + 1)], dtype=float)
-    if grid[-1] < float(T) - 1e-12:
-        grid = np.append(grid, float(T))
-    grid[-1] = float(T)
-    if polys:
-        table = np.vstack([p.grid_values(grid) for p in polys])
-        argmin = np.argmin(table, axis=0)
-        vals = table[argmin, np.arange(len(grid))]
-    else:
-        argmin = np.zeros(len(grid), dtype=int)
-        vals = np.zeros_like(grid)
-    rows = []
-    for i, alpha in enumerate(grid):
-        if alpha == 0.0:
-            rows.append((0.0, 0.0, 0))
-        else:
-            rows.append((float(alpha), float(vals[i]), masks[int(argmin[i])] if polys else 0))
-    return rows
-
-
 def scan_S(
     x: RandomSubset,
     T,
@@ -178,13 +155,21 @@ def scan_S(
     boundaries are refined by bisection; integers whose neighborhoods are
     negative are force-included as isolated points (they always belong).
     """
+    return _scan(x, T, step, margin, refine_tol)[0]
+
+
+def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
+    """The scan behind :func:`scan_S`; also returns the grid rows
+    (alpha, min_A q(A), argmin mask), the CSV view.
+
+    One containment table serves every q(A) on the grid and in the refinement.
+    """
     if T <= 0 or step <= 0:
         raise DomainViolation("need T > 0 and step > 0")
-    polys = [
-        q_poly(x, mask)
-        for mask in range(1 << x.n)
-        if bin(mask).count("1") >= 2  # q over smaller sets is monotonicity, always >= 0
-    ]
+    w = x.containment_table()
+    # q over smaller sets is monotonicity, always >= 0
+    masks = [mask for mask in range(1 << x.n) if bin(mask).count("1") >= 2]
+    polys = [_q_from_table(w, mask) for mask in masks]
 
     def min_q(alpha: float) -> float:
         if alpha == 0:
@@ -197,10 +182,16 @@ def scan_S(
         grid = np.append(grid, float(T))
     grid[-1] = float(T)
     if polys:
-        vals = np.min(np.vstack([p.grid_values(grid) for p in polys]), axis=0)
+        table = np.vstack([p.grid_values(grid) for p in polys])
+        argmin = np.argmin(table, axis=0)
+        vals = table[argmin, np.arange(len(grid))]
+        argmin_masks = [masks[i] for i in argmin]
     else:
         vals = np.zeros_like(grid)
+        argmin_masks = [0] * len(grid)
     vals[0] = 0.0
+    argmin_masks[0] = 0
+    rows = [(float(a), float(v), m) for a, v, m in zip(grid, vals, argmin_masks)]
     exists = vals >= -margin
 
     def _bisect(lo, hi):
@@ -249,7 +240,7 @@ def scan_S(
     out = IntervalSet(tuple(components), (0.0, float(T)), float(step))
     for j in range(int(math.floor(float(T))) + 1):
         assert out.covers(j), f"integer {j} must belong to S_X"
-    return out
+    return out, rows
 
 
 # --- simplex forms and Schur condition --------------------------------------------
@@ -270,11 +261,10 @@ def simplex_form(x, alpha) -> float:
         raise DomainViolation("point must satisfy x_i >= 0 and sum <= 1")
     if alpha <= 0:
         raise DomainViolation("alpha must be positive")
-    sums = [0.0] * (1 << n)
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(bit):
-            sums[mask | bit] = sums[mask] + float(vals[i])
+    singletons = [0.0] * (1 << n)
+    for i, v in enumerate(vals):
+        singletons[1 << i] = float(v)
+    sums = subset_sums(singletons, n)
     terms = [1.0]
     a = float(alpha)
     for mask in range(1, 1 << n):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from cmlat.cli import main
 from cmlat.cm import write_function_file, LatticeFunction
 from cmlat.lattice import boolean_lattice, diamond_lattice, write_lattice_file, materialize
-from cmlat.randset import RandomSubset, write_distribution_file
+from cmlat import randset
+from cmlat.randset import RandomSubset, void_functional, write_distribution_file
 
 
 def run(capsys, *argv):
@@ -119,6 +121,24 @@ def test_randset_void_and_invert(tmp_path, capsys):
     assert code == 0
 
 
+def test_randset_invert_decimal_float_table(tmp_path, capsys):
+    # the decimal print of a float law's void table reads back as floats, so
+    # rounding-sized negative masses fall in the tolerance band
+    rng = random.Random(83)
+    n = 10
+    raw = [rng.random() if rng.random() < 0.25 else 0.0 for _ in range(1 << n)]
+    total = sum(raw)
+    x = RandomSubset(n, [m / total for m in raw])
+    path = tmp_path / "float.void"
+    path.write_text(f"{n}\n" + "".join(f"{k} {v!r}\n" for k, v in enumerate(void_functional(x).table)))
+    code, doc, _ = run(capsys, "randset", "invert", "--void", str(path))
+    assert code == 0
+    masses = doc["result"]["distribution"]["masses"]
+    for mask, p in enumerate(x.probs):
+        got = float(masses[str(mask)]["probability"]) if str(mask) in masses else 0.0
+        assert got == pytest.approx(p, abs=1e-12)
+
+
 def test_randset_poisson(tmp_path, capsys):
     out = tmp_path / "y.dist"
     code, doc, _ = run(
@@ -198,6 +218,20 @@ def test_json_is_byte_identical(capsys):
     third = capsys.readouterr().out
     main(["scan", "s-set", "--dist", "uniform-singleton:3", "--T", "4"])
     assert capsys.readouterr().out == third
+
+
+def test_scan_s_set_builds_one_containment_table(monkeypatch, capsys):
+    calls = []
+    real = randset.subset_sums
+
+    def counting(values, ground_n):
+        calls.append(ground_n)
+        return real(values, ground_n)
+
+    monkeypatch.setattr(randset, "subset_sums", counting)
+    assert main(["scan", "s-set", "--dist", "uniform-singleton:5", "--T", "6"]) == 0
+    capsys.readouterr()
+    assert calls == [5]
 
 
 def test_out_writes_json_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmlat.cm import LatticeFunction, is_cm, mobius_weights, power
+from cmlat.cm import LatticeFunction, WeightFunction, is_cm, mobius_weights, power, reconstruct
 from cmlat.lattice import boolean_lattice, materialize
 from cmlat.randset import RandomSubset, power_exists, void_functional
 from cmlat.scan import construct_multi_interval, q_poly, scan_S
@@ -55,13 +55,26 @@ def test_void_weights_are_outcome_masses():
 
 def test_boolean_mobius_dispatch_matches_generic():
     rng = random.Random(71)
-    implicit = boolean_lattice(3)
-    explicit = materialize(implicit)
-    for _ in range(10):
-        vals = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(8)]
-        fast = mobius_weights(LatticeFunction(implicit, vals))
-        slow = mobius_weights(LatticeFunction(explicit, vals))
-        assert fast.weights == slow.weights
+    for k in range(1, 6):
+        implicit = boolean_lattice(k)
+        explicit = materialize(implicit)
+        for exact in (True, False):
+            for _ in range(4):
+                if exact:
+                    vals = [Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(1 << k)]
+                else:
+                    vals = [rng.uniform(0.0, 9.0) for _ in range(1 << k)]
+                fast = mobius_weights(LatticeFunction(implicit, vals))
+                slow = mobius_weights(LatticeFunction(explicit, vals))
+                back_fast = reconstruct(WeightFunction(implicit, fast.weights))
+                back_slow = reconstruct(WeightFunction(explicit, fast.weights))
+                if exact:
+                    assert fast.weights == slow.weights
+                    assert back_fast.values == back_slow.values == tuple(vals)
+                else:
+                    # the generic recursion adds in another order
+                    assert fast.weights == pytest.approx(slow.weights, abs=1e-9)
+                    assert back_fast.values == pytest.approx(back_slow.values, abs=1e-9)
 
 
 def test_scan_components_match_pointwise_existence():

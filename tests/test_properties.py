@@ -25,6 +25,58 @@ def test_subset_transforms_are_mutually_inverse(vals):
     assert subset_sums(subset_mobius(vals, 4), 4) == vals
 
 
+def reference_subset_sums(values, ground_n):
+    """The per-bit loop the numpy kernel replaced, kept as its oracle."""
+    out = list(values)
+    for i in range(ground_n):
+        bit = 1 << i
+        for mask in range(len(out)):
+            if mask & bit:
+                out[mask] += out[mask ^ bit]
+    return out
+
+
+def reference_subset_mobius(values, ground_n):
+    out = list(values)
+    for i in range(ground_n):
+        bit = 1 << i
+        for mask in range(len(out)):
+            if mask & bit:
+                out[mask] -= out[mask ^ bit]
+    return out
+
+
+def tables(elements):
+    return st.integers(0, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(elements, min_size=1 << n, max_size=1 << n))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(st.floats(min_value=-1e6, max_value=1e6)))
+def test_float_kernel_is_bitwise_the_reference_loop(table):
+    n, vals = table
+    for kernel, reference in ((subset_sums, reference_subset_sums), (subset_mobius, reference_subset_mobius)):
+        got = kernel(vals, n)
+        assert type(got) is list and all(type(v) is float for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in reference(vals, n)]
+
+
+big = st.one_of(
+    st.integers(min_value=2**70, max_value=2**90),
+    st.fractions(min_value=2**70, max_value=2**90, max_denominator=1000),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables(big))
+def test_exact_kernel_keeps_big_values(table):
+    n, vals = table
+    sums = subset_sums(vals, n)
+    assert sums == reference_subset_sums(vals, n)
+    assert subset_mobius(sums, n) == vals
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(nonneg_fractions, min_size=5, max_size=5), st.lists(nonneg_fractions, min_size=5, max_size=5))
 def test_delta_is_linear(f_vals, g_vals):

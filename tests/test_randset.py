@@ -22,6 +22,7 @@ from cmlat.randset import (
     is_m_divisible,
     mask_set,
     parse_distribution_text,
+    parse_void_text,
     poisson_union,
     power_exists,
     singleton_set,
@@ -341,6 +342,23 @@ def test_subset_transforms_invert():
     rng = random.Random(31)
     vals = [Fraction(rng.randint(-5, 5)) for _ in range(16)]
     assert subset_mobius(subset_sums(vals, 4), 4) == vals
+
+
+def test_void_document_header_checked_before_allocation():
+    with pytest.raises(FormatError, match="out of range") as info:
+        parse_void_text("21\n")
+    assert info.value.line == 1
+
+
+def test_void_document_number_rule():
+    v = parse_void_text("1\n0 1\n1 1/2\n")
+    assert v.table == (1, Fraction(1, 2)) and v.kind == "rational"
+    v = parse_void_text("1\n0 1\n1 5e-1\n")
+    assert v.table == (1.0, 0.5) and v.kind == "float"
+    for bad in ("1e999", "1/0"):
+        with pytest.raises(FormatError, match="bad entry") as info:
+            parse_void_text(f"1\n0 1\n1 {bad}\n")
+        assert info.value.line == 3
 
 
 def test_distribution_format_roundtrip():
