@@ -198,7 +198,10 @@ def cmd_cm_check(args):
 def cmd_cm_power(args):
     lat = load_lattice(args.lattice)
     fn = _load_fn(args, lat)
-    alpha = float(args.alpha) if "." in args.alpha or "e" in args.alpha else int(args.alpha)
+    try:
+        alpha = int(args.alpha)
+    except ValueError:
+        alpha = float(args.alpha)
     powered = cm_mod.power(fn, alpha)
     verdict = cm_mod.is_cm(powered, tol=args.tol)
     if args.out_fn:

@@ -15,9 +15,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
 from .errors import (
     BudgetExceeded,
+    DomainViolation,
     ElementOutOfRange,
     FormatError,
     NegativeValue,
@@ -140,21 +143,24 @@ def mobius_weights(f: LatticeFunction) -> WeightFunction:
     """Weights from the top-down recursion p(x) = f(x) - sum_{y > x} p(y).
 
     Exact in rational mode; Boolean lattices use the superset Mobius
-    transform, which computes the same weights in O(n 2^n).
+    transform, which computes the same weights in O(n 2^n).  Other lattices
+    solve one rank level at a time (ranks to the top), since the elements of
+    a level are pairwise incomparable and depend only on earlier levels.
     """
     lat = f.lattice
     if isinstance(lat, BooleanLattice):
         # top ^ mask reverses the index order, so a superset transform is the
         # subset transform of the reversed values
         return WeightFunction(lat, subset_mobius(f.values[::-1], lat.ground_n)[::-1])
-    p = [0] * lat.n
-    for x in lat.mobius_order():
-        above = 0
-        for y in lat.up_set(x):
-            if y != x:
-                above += p[y]
-        p[x] = f.values[x] - above
-    return WeightFunction(lat, p)
+    vals, den = _common_denominator(f.values)
+    p = np.zeros_like(vals)
+    rank = np.asarray(lat.ranks_to_top())
+    order = np.argsort(rank, kind="stable")
+    for level in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
+        strict = lat._leq[level]
+        strict[np.arange(len(level)), level] = False
+        p[level] = vals[level] - _up_sums(strict, p)
+    return WeightFunction(lat, _over(p, den))
 
 
 def reconstruct(p: WeightFunction) -> LatticeFunction:
@@ -163,8 +169,38 @@ def reconstruct(p: WeightFunction) -> LatticeFunction:
     if isinstance(lat, BooleanLattice):
         g = subset_sums(p.weights[::-1], lat.ground_n)[::-1]
     else:
-        g = [sum(p.weights[y] for y in lat.up_set(x)) for x in lat.elements]
+        weights, den = _common_denominator(p.weights)
+        g = _over(_up_sums(lat._leq, weights), den)
     return LatticeFunction(lat, g, _clamp=RECONSTRUCT_CLAMP)
+
+
+def _common_denominator(values):
+    """Float values as a float64 array; exact ones as Python ints over their
+    least common denominator (an object array), returned with it."""
+    if any(isinstance(v, float) for v in values):
+        return np.array(values, dtype=float), None
+    den = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
+
+
+def _over(values, den):
+    """Back from :func:`_common_denominator`: floats, or Fractions over den."""
+    return values.tolist() if den is None else [Fraction(int(v), den) for v in values]
+
+
+def _up_sums(rows, values):
+    """For each boolean row, the sum of ``values`` over its True entries.
+
+    Floats are added left to right in ascending index, as a scalar loop
+    starting from 0 adds them, so every result is bitwise that loop's; rows go
+    64 at a time to bound the dense temporaries.
+    """
+    if values.dtype == object:
+        return np.array([sum(values[row]) for row in rows], dtype=object)
+    sums = [np.cumsum(np.where(rows[i:i + 64], values, 0.0), axis=1)[:, -1]
+            for i in range(0, len(rows), 64)]
+    # 0 + (-0.0) is 0.0 in the scalar loop; cumsum keeps a lone -0.0
+    return np.concatenate(sums) + 0.0
 
 
 def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
@@ -231,6 +267,8 @@ def is_cm_bruteforce(f: LatticeFunction, max_len=None, budget=BRUTEFORCE_BUDGET)
 
 def power(f: LatticeFunction, alpha) -> LatticeFunction:
     """Pointwise power with 0**0 = 1; stays rational for integral exponents."""
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise DomainViolation(f"exponent must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("exponent must be nonnegative")
     return LatticeFunction(f.lattice, [pow_scalar(v, alpha) for v in f.values])

@@ -31,8 +31,8 @@ class FiniteLattice:
 
     Construction validates the full lattice axioms: the order must be
     reflexive, antisymmetric and transitive, and every pair of elements must
-    have a unique least upper bound and greatest lower bound (checked
-    exhaustively via up-set intersection).
+    have a unique least upper bound and greatest lower bound (checked for
+    every pair while the join and meet tables are filled).
     """
 
     def __init__(self, leq, name=""):
@@ -48,57 +48,23 @@ class FiniteLattice:
         self.name = name
         self._leq = leq
         self._leq.setflags(write=False)
-        self._validate_order()
-        self._join, self._meet = self._build_tables()
-        self._covers = self._extract_covers()
-        self.top = int(np.flatnonzero(leq.all(axis=0))[0])
-        self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
-
-    # -- construction internals -------------------------------------------
-
-    def _validate_order(self):
-        leq = self._leq
-        n = self.n
         if not leq.diagonal().all():
             raise NotALattice("order is not reflexive")
         both = leq & leq.T
         if both.sum() > n:
             i, j = np.argwhere(both & ~np.eye(n, dtype=bool))[0]
             raise NotALattice(f"order is not antisymmetric at ({i}, {j})")
-        reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        if (reach & ~leq).any():
-            i, j = np.argwhere(reach & ~leq)[0]
-            raise NotALattice(f"order is not transitive at ({i}, {j})")
-
-    def _build_tables(self):
-        # The AND of two up-set rows equals some element's up-set row exactly
-        # when that element is the unique lub; same for down-sets and glb.
-        leq = self._leq
-        n = self.n
-        join = np.zeros((n, n), dtype=np.int32)
-        meet = np.zeros((n, n), dtype=np.int32)
-        up_rows = {leq[i].tobytes(): i for i in range(n)}
-        down_rows = {leq[:, i].tobytes(): i for i in range(n)}
-        for i in range(n):
-            join[i, i] = meet[i, i] = i
-            for j in range(i + 1, n):
-                lub = up_rows.get((leq[i] & leq[j]).tobytes())
-                if lub is None:
-                    raise NotALattice(f"elements {i} and {j} have no unique join")
-                glb = down_rows.get((leq[:, i] & leq[:, j]).tobytes())
-                if glb is None:
-                    raise NotALattice(f"elements {i} and {j} have no unique meet")
-                join[i, j] = join[j, i] = lub
-                meet[i, j] = meet[j, i] = glb
-        join.setflags(write=False)
-        meet.setflags(write=False)
-        return join, meet
-
-    def _extract_covers(self):
-        lt = self._leq & ~np.eye(self.n, dtype=bool)
-        inbetween = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-        child = lt & ~inbetween
-        return tuple(tuple(int(j) for j in np.flatnonzero(child[i])) for i in range(self.n))
+        up_size = leq.sum(axis=1, dtype=np.int32)
+        self._covers = _covers(leq, up_size)
+        lower = [[] for _ in range(n)]
+        for x, covs in enumerate(self._covers):
+            for c in covs:
+                lower[c].append(x)
+        geq = np.ascontiguousarray(leq.T)
+        self._join = _join_table(leq, geq, self._covers, up_size, "join")
+        self._meet = _join_table(geq, leq, lower, geq.sum(axis=1, dtype=np.int32), "meet")
+        self.top = int(np.flatnonzero(leq.all(axis=0))[0])
+        self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
 
     # -- accessors ----------------------------------------------------------
 
@@ -207,6 +173,75 @@ class BooleanLattice(FiniteLattice):
         return f"<BooleanLattice [{self.ground_n}] n={self.n}>"
 
 
+# --- table construction -----------------------------------------------------
+
+def _covers(leq, up_size):
+    """Covers of every element of a reflexive, antisymmetric order.
+
+    Elements are taken top-down (ascending up-set size).  The covers of x are
+    the minimal elements of its strict up-set S(x): the remaining element with
+    the largest up-set is minimal, so take it and strike its up-set until
+    nothing remains.  The order is transitive at x iff every y in S(x) has a
+    smaller up-set than x (so y was taken, and checked, before x) and the
+    up-set of each cover lies inside S(x).  This costs O(covers * n) rather
+    than an n-by-n-by-n product.
+    """
+    n = leq.shape[0]
+    covers = [()] * n
+    for x in np.argsort(up_size, kind="stable"):
+        strict = leq[x].copy()
+        strict[x] = False
+        early = strict & (up_size >= up_size[x])
+        if early.any():
+            z = np.flatnonzero(leq[np.argmax(early)] & ~leq[x])[0]
+            raise NotALattice(f"order is not transitive at ({x}, {z})")
+        rest = strict.copy()
+        covs = []
+        while rest.any():
+            c = int(np.argmax(np.where(rest, up_size, -1)))
+            outside = leq[c] & ~strict
+            if outside.any():
+                raise NotALattice(f"order is not transitive at ({x}, {np.argmax(outside)})")
+            covs.append(c)
+            rest &= ~leq[c]
+        covers[x] = tuple(sorted(covs))
+    return tuple(covers)
+
+
+def _join_table(leq, geq, covers, up_size, word):
+    """Join table of the order ``leq`` (``geq`` is its transpose), filled
+    top-down by cover recursion.
+
+    For incomparable x and y every upper bound of both lies above some cover
+    c of x, so join(x, y) is the least of {join(c, y) : c covers x}.  The
+    least candidate is the one with the largest up-set, provided it lies
+    below all the others.  The meet table is this table of the reversed
+    order.  Raises NotALattice naming the first pair found without one.
+    """
+    n = leq.shape[0]
+    cols = np.arange(n)
+    flat = leq.ravel()
+    shift = n.bit_length()  # int32 keys (up-set size, element) order by size first
+    join = np.empty((n, n), dtype=np.int32)
+    for x in np.argsort(up_size, kind="stable"):
+        covs = list(covers[x])
+        if not covs:
+            best, least = cols, False
+        elif len(covs) == 1:
+            best, least = join[covs[0]], True
+        else:
+            cand = join[covs]
+            best = ((up_size[cand] << shift) | cand).max(axis=0) & ((1 << shift) - 1)
+            least = flat.take(best * n + cand).all(axis=0)
+        missing = ~leq[x] & ~geq[x] & ~least
+        if missing.any():
+            i, j = sorted((int(x), int(np.argmax(missing))))
+            raise NotALattice(f"elements {i} and {j} have no unique {word}")
+        join[x] = np.where(leq[x], cols, np.where(geq[x], x, best))
+    join.setflags(write=False)
+    return join
+
+
 # --- constructors ---------------------------------------------------------
 
 def from_covers(n, cover_pairs, name="") -> FiniteLattice:
@@ -220,30 +255,52 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
         raise NotALattice("a lattice needs at least one element")
     if n > GENERAL_SIZE_CAP:
         raise SizeLimitExceeded(f"{n} elements exceeds cap {GENERAL_SIZE_CAP}")
-    adj = np.zeros((n, n), dtype=bool)
+    above = [[] for _ in range(n)]
+    below = [[] for _ in range(n)]
     pairs = []
     for lower, upper in cover_pairs:
         if not (0 <= lower < n and 0 <= upper < n):
             raise ElementOutOfRange(f"cover pair ({lower}, {upper}) out of range")
         if lower == upper:
             raise CyclicCovers(f"self-loop at element {lower}")
-        adj[lower, upper] = True
+        above[lower].append(upper)
+        below[upper].append(lower)
         pairs.append((lower, upper))
-    reach = adj | np.eye(n, dtype=bool)
-    while True:
-        nxt = reach | ((reach.astype(np.uint8) @ reach.astype(np.uint8)) > 0)
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    cyc = reach & reach.T & ~np.eye(n, dtype=bool)
-    if cyc.any():
-        i, j = np.argwhere(cyc)[0]
+    # one topological pass from the top down: an element's up-set is itself
+    # plus the up-sets of its covers, ready once all of those are
+    reach = np.zeros((n, n), dtype=bool)
+    pending = [len(a) for a in above]
+    ready = [x for x in range(n) if not pending[x]]
+    while ready:
+        x = ready.pop()
+        if above[x]:
+            reach[x] = reach[above[x]].any(axis=0)
+        reach[x, x] = True
+        for lower in below[x]:
+            pending[lower] -= 1
+            if not pending[lower]:
+                ready.append(lower)
+    if any(pending):
+        # every element left over has a cover left over, so walking up
+        # through left-over covers runs into a cycle
+        x = next(k for k, left in enumerate(pending) if left)
+        seen = []
+        while x not in seen:
+            seen.append(x)
+            x = next(c for c in above[x] if pending[c])
+        i, j = sorted(seen[seen.index(x):])[:2]
         raise CyclicCovers(f"cover relation is cyclic through {i} and {j}")
-    lt = reach & ~np.eye(n, dtype=bool)
-    implied = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-    for lower, upper in pairs:
-        if implied[lower, upper]:
-            raise NonCoverEdge(f"pair ({lower}, {upper}) is implied transitively")
+    # (lower, upper) is implied when upper lies above another cover of lower
+    implied = set()
+    for lower in range(n):
+        covs = sorted(set(above[lower]))
+        if len(covs) < 2:
+            continue
+        hits = reach[np.ix_(covs, covs)].sum(axis=0) > 1
+        implied.update((lower, c) for c, hit in zip(covs, hits) if hit)
+    for pair in pairs:
+        if pair in implied:
+            raise NonCoverEdge(f"pair {pair} is implied transitively")
     return FiniteLattice(reach, name=name)
 
 
@@ -293,7 +350,7 @@ def materialize(lat: FiniteLattice) -> FiniteLattice:
     n = lat.n
     if n > GENERAL_SIZE_CAP:
         raise SizeLimitExceeded("boolean lattice too large to materialize")
-    masks = np.arange(n)
+    masks = np.arange(n, dtype=np.int32)
     leq = (masks[:, None] | masks[None, :]) == masks[None, :]
     return FiniteLattice(leq, name=lat.name)
 
@@ -314,45 +371,26 @@ def d_max(lat: FiniteLattice) -> int:
 
 
 def is_distributive(lat: FiniteLattice) -> bool:
-    """Whether join distributes over meet for every ordered triple.
+    """Whether join distributes over meet, by the cancellation law.
 
-    Evaluates both the distributive law and the cancellation characterization
-    (x v y = x v z and x ^ y = x ^ z imply y = z) and asserts they agree.
+    A lattice is distributive iff x v y = x v z and x ^ y = x ^ z imply
+    y = z, i.e. iff for every x the pairs (x v y, x ^ y) are distinct over y.
+    Each row of int32 keys (x v y) * n + (x ^ y) is sorted and checked for
+    repeats: O(n^2 log n).
     """
     if lat.n > DISTRIBUTIVITY_SIZE_CAP:
-        raise BudgetExceeded(f"distributivity check is cubic; {lat.n} > {DISTRIBUTIVITY_SIZE_CAP}")
+        raise BudgetExceeded(
+            f"distributivity check is capped at {DISTRIBUTIVITY_SIZE_CAP} elements; got {lat.n}"
+        )
     if isinstance(lat, BooleanLattice):
-        masks = np.arange(lat.n, dtype=np.int64)
-        b = masks[:, None]
-        c = masks[None, :]
-        law = True
-        cancel = True
-        for a in masks:
-            if ((a | (b & c)) != ((a | b) & (a | c))).any():
-                law = False
-                break
-        for a in masks:
-            keys = (a | masks) * lat.n + (a & masks)
-            if len(np.unique(keys)) != lat.n:
-                cancel = False
-                break
+        masks = np.arange(lat.n, dtype=np.int32)
+        join, meet = masks[:, None] | masks, masks[:, None] & masks
     else:
-        join = lat._join
-        meet = lat._meet
-        law = True
-        cancel = True
-        for a in lat.elements:
-            ja = join[a]
-            if (ja[meet] != meet[np.ix_(ja, ja)]).any():
-                law = False
-                break
-        for a in lat.elements:
-            keys = join[a].astype(np.int64) * lat.n + meet[a]
-            if len(np.unique(keys)) != lat.n:
-                cancel = False
-                break
-    assert law == cancel, "distributive law and cancellation check disagree"
-    return law
+        join, meet = lat._join, lat._meet
+    keys = join * np.int32(lat.n)
+    keys += meet
+    keys.sort(axis=1)
+    return not (keys[:, 1:] == keys[:, :-1]).any()
 
 
 def verify_distinct_joins(lat: FiniteLattice, x):

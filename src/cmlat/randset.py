@@ -22,6 +22,7 @@ import numpy as np
 from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
 from .errors import (
     BudgetExceeded,
+    DomainViolation,
     FormatError,
     GroundSetMismatch,
     InvalidProbabilityVector,
@@ -189,6 +190,8 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     is at or above -tol.  Values clamped from (-tol, 0) set the boundary flag
     so exact integer exponents classify as existing.
     """
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     w = x.containment_table()

@@ -3,11 +3,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmlat.cli import main
-from cmlat.cm import write_function_file, LatticeFunction
-from cmlat.lattice import boolean_lattice, diamond_lattice, write_lattice_file, materialize
+from cmlat.cm import LatticeFunction, WeightFunction, reconstruct, write_function_file
+from cmlat.lattice import (
+    boolean_lattice,
+    chain_lattice,
+    diamond_lattice,
+    from_covers,
+    materialize,
+    product_lattice,
+    write_lattice_file,
+)
 from cmlat import randset
 from cmlat.randset import RandomSubset, void_functional, write_distribution_file
 
@@ -295,3 +304,55 @@ def test_cm_extend_and_accompany(tmp_path, capsys):
     )
     assert code == 0
     assert doc["result"]["distance_from_input"] <= doc["result"]["scalar_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_exponents_exit_two(tmp_path, capsys, alpha):
+    code, doc, err = run(capsys, "randset", "power-exists", "--dist", "uniform-singleton:3",
+                         "--alpha", alpha)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err
+    lat_path, fn_path = tmp_path / "d3.lat", tmp_path / "f.txt"
+    write_lattice_file(diamond_lattice(3), lat_path)
+    fn_path.write_text("lattice d3\n0 1\n1 1/2\n2 1/2\n3 1/2\n4 1/4\n")
+    code, doc, err = run(capsys, "cm", "power", "--lattice", str(lat_path), "--fn", str(fn_path),
+                         "--alpha", alpha)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err
+
+
+def chain_product_document(a, b):
+    """Cover document of chain(a) x chain(b), element (i, j) = i*b + j."""
+    pairs = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]
+    pairs += [(i * b + j, (i + 1) * b + j) for i in range(a - 1) for j in range(b)]
+    return "\n".join([str(a * b)] + [f"{lo} {hi}" for lo, hi in sorted(pairs)]) + "\n", sorted(pairs)
+
+
+def test_lattice_check_chain258_by_chain2(tmp_path, capsys):
+    # over 255 two-step paths between some pairs: uint8 path counts wrapped here
+    text, pairs = chain_product_document(258, 2)
+    path = tmp_path / "c258x2.lat"
+    path.write_text(text)
+    code, doc, _ = run(capsys, "lattice", "check", "--lattice", str(path))
+    assert code == 0
+    result = doc["result"]
+    assert result["valid"] and result["distributive"] and result["d_max"] == 2
+    assert (result["top"], result["bottom"]) == (515, 0)
+    assert [tuple(p) for p in result["cover_pairs"]] == pairs
+
+
+def test_scale_smoke_chain64_by_chain32(tmp_path, capsys):
+    # 2048 elements; checks results only, no timing
+    lat = product_lattice(chain_lattice(64), chain_lattice(32))
+    rebuilt = from_covers(lat.n, lat.cover_pairs())
+    for table in ("_leq", "_join", "_meet"):
+        assert np.array_equal(getattr(rebuilt, table), getattr(lat, table))
+    assert [rebuilt.covers(x) for x in lat.elements] == [lat.covers(x) for x in lat.elements]
+    rng = random.Random(2048)
+    weights = [Fraction(rng.randint(1, 60), 7) for _ in lat.elements]
+    lat_path, fn_path = tmp_path / "c64x32.lat", tmp_path / "f.txt"
+    write_lattice_file(lat, lat_path)
+    write_function_file(reconstruct(WeightFunction(lat, weights)), fn_path, "c64x32")
+    code, doc, _ = run(capsys, "cm", "check", "--lattice", str(lat_path), "--fn", str(fn_path))
+    assert code == 0
+    assert doc["result"]["min_weight"] == str(min(weights))

@@ -25,6 +25,7 @@ from cmlat.cm import (
     sharpness_witness,
 )
 from cmlat.errors import (
+    DomainViolation,
     FormatError,
     NegativeValue,
     NoSharpnessNeeded,
@@ -39,6 +40,7 @@ from cmlat.lattice import (
     chain_lattice,
     d_max,
     diamond_lattice,
+    pentagon_lattice,
     product_lattice,
     materialize,
 )
@@ -152,6 +154,60 @@ def test_roundtrip_float_mode():
             assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
+def reference_mobius_weights(f):
+    """The top-down up_set loop the level-wise solve replaced, kept as its oracle."""
+    lat = f.lattice
+    p = [0] * lat.n
+    for x in lat.mobius_order():
+        above = 0
+        for y in lat.up_set(x):
+            if y != x:
+                above += p[y]
+        p[x] = f.values[x] - above
+    return p
+
+
+def reference_reconstruct(p):
+    lat = p.lattice
+    return [sum(p.weights[y] for y in lat.up_set(x)) for x in lat.elements]
+
+
+def explicit_lattices():
+    return catalog() + [
+        product_lattice(diamond_lattice(3), pentagon_lattice()),
+        product_lattice(chain_lattice(4), product_lattice(diamond_lattice(4), chain_lattice(2))),
+        product_lattice(materialize(boolean_lattice(2)), chain_lattice(5)),
+    ]
+
+
+def test_generic_mobius_matches_reference_loop():
+    rng = random.Random(29)
+    for lat in explicit_lattices():
+        for _ in range(3):
+            exact = LatticeFunction(
+                lat, [Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in lat.elements]
+            )
+            assert list(mobius_weights(exact).weights) == reference_mobius_weights(exact)
+            floats = LatticeFunction(lat, [rng.uniform(0.0, 9.0) for _ in lat.elements])
+            got, want = mobius_weights(floats).weights, reference_mobius_weights(floats)
+            # the level-wise solve adds in the loop's order, so the floats are
+            # the loop's bit for bit, well inside 1e-12 * max f
+            assert list(got) == want, lat.name
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * floats.max_value()
+            verdict = is_cm(floats)
+            assert verdict.min_weight == min(want)
+            assert verdict.is_cm == (min(want) >= -verdict.tol)
+
+
+def test_generic_reconstruct_matches_reference_loop():
+    rng = random.Random(31)
+    for lat in explicit_lattices():
+        exact = random_weights(lat, rng)
+        assert list(reconstruct(exact).values) == reference_reconstruct(exact)
+        floats = WeightFunction(lat, [rng.uniform(0.0, 3.0) for _ in lat.elements])
+        assert list(reconstruct(floats).values) == reference_reconstruct(floats), lat.name
+
+
 # --- is_cm and the brute-force oracle ----------------------------------------
 
 
@@ -223,6 +279,12 @@ def test_power_identity_and_constant():
     assert power(f, 0).values == (Fraction(1),) * 4  # 0**0 = 1 convention
     assert power(f, 2).kind == "rational"
     assert power(f, 2.0).kind == "rational"  # integral float exponents stay exact
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_power_rejects_non_finite_exponent(alpha):
+    with pytest.raises(DomainViolation):
+        power(example2_void(Fraction(1, 3)), alpha)
 
 
 def test_integer_powers_stay_cm():

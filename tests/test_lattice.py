@@ -1,7 +1,10 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlat.errors import (
     CyclicCovers,
@@ -13,6 +16,7 @@ from cmlat.errors import (
 )
 from cmlat.lattice import (
     BooleanLattice,
+    FiniteLattice,
     boolean_lattice,
     catalog,
     chain_lattice,
@@ -46,6 +50,9 @@ def test_missing_join_is_rejected():
         from_covers(4, [(0, 1), (0, 2)])  # 1 and 2 have no join
     with pytest.raises(NotALattice):
         from_covers(4, [(0, 2), (1, 2), (0, 3), (1, 3)])  # 0,1 lack a meet... and 2,3 a join
+    with pytest.raises(NotALattice, match="elements (1 and 2|3 and 4) have no unique"):
+        # bounded, but 1 and 2 have two minimal upper bounds, 3 and 4
+        from_covers(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
 
 
 def test_square_lattice():
@@ -209,3 +216,138 @@ def test_ranks_to_top():
     assert ranks[lat.top] == 0
     assert ranks[lat.bottom] == 2
     assert lat.mobius_order()[0] == lat.top
+
+
+# --- the table builders against the algorithms they replaced ------------------
+
+
+def reference_tables(leq):
+    """Per-pair up-set intersection: the AND of two up-set rows is some
+    element's up-set row exactly when that element is the unique join (and
+    dually for meets).  The cubic loop the cover recursion replaced, kept as
+    its oracle; -1 marks a pair without a unique join or meet."""
+    n = len(leq)
+    up_rows = {leq[i].tobytes(): i for i in range(n)}
+    down_rows = {leq[:, i].tobytes(): i for i in range(n)}
+    join = np.full((n, n), -1)
+    meet = np.full((n, n), -1)
+    for i, j in itertools.product(range(n), repeat=2):
+        join[i, j] = up_rows.get((leq[i] & leq[j]).tobytes(), -1)
+        meet[i, j] = down_rows.get((leq[:, i] & leq[:, j]).tobytes(), -1)
+    return join, meet
+
+
+def reference_covers(leq):
+    n = len(leq)
+    return tuple(
+        tuple(j for j in range(n) if j != i and leq[i, j]
+              and not any(k not in (i, j) and leq[i, k] and leq[k, j] for k in range(n)))
+        for i in range(n)
+    )
+
+
+def reference_distributive(join, meet):
+    """The distributive law a v (b ^ c) = (a v b) ^ (a v c) over all triples."""
+    for a in range(len(join)):
+        ja = join[a]
+        if (ja[meet] != meet[np.ix_(ja, ja)]).any():
+            return False
+    return True
+
+
+def random_products(seed, count, max_size=60):
+    rng = np.random.default_rng(seed)
+    factors = [chain_lattice(2), chain_lattice(3), chain_lattice(4), diamond_lattice(3),
+               diamond_lattice(4), pentagon_lattice(), from_covers(4, SQUARE_COVERS)]
+    out = []
+    while len(out) < count:
+        picked = [factors[k] for k in rng.integers(len(factors), size=rng.integers(2, 4))]
+        if np.prod([f.n for f in picked]) > max_size:
+            continue
+        lat = picked[0]
+        for f in picked[1:]:
+            lat = product_lattice(lat, f)
+        out.append(lat)
+    return out
+
+
+def test_tables_match_reference_on_catalog_and_products():
+    for lat in catalog() + random_products(3, 12):
+        join, meet = reference_tables(lat._leq)
+        assert np.array_equal(lat._join, join), lat.name
+        assert np.array_equal(lat._meet, meet), lat.name
+        assert tuple(lat.covers(x) for x in lat.elements) == reference_covers(lat._leq)
+        assert is_distributive(lat) == reference_distributive(join, meet), lat.name
+
+
+@st.composite
+def cover_documents(draw):
+    """Random orders on n <= 10 elements, relabelled, given by their covers."""
+    n = draw(st.integers(1, 10))
+    perm = draw(st.permutations(range(n)))
+    below = list(itertools.combinations(range(n), 2))
+    edges = [e for e, keep in zip(below, draw(st.lists(st.booleans(), min_size=len(below),
+                                                       max_size=len(below)))) if keep]
+    if draw(st.booleans()):  # with a bottom and a top, a missing join has candidates
+        edges += [(0, k) for k in range(1, n)] + [(k, n - 1) for k in range(n - 1)]
+    leq = np.eye(n, dtype=bool)
+    for i, j in edges:
+        leq[perm[i], perm[j]] = True
+    for k in range(n):
+        leq |= np.outer(leq[:, k], leq[k])
+    return n, leq
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_documents())
+def test_random_cover_documents_match_reference(doc):
+    n, leq = doc
+    covers = reference_covers(leq)
+    pairs = [(x, c) for x in range(n) for c in covers[x]]
+    join, meet = reference_tables(leq)
+    if (join < 0).any() or (meet < 0).any():
+        with pytest.raises(NotALattice) as exc:
+            from_covers(n, pairs)
+        i, j, word = re.fullmatch(r"elements (\d+) and (\d+) have no unique (join|meet)",
+                                  str(exc.value)).groups()
+        assert {"join": join, "meet": meet}[word][int(i), int(j)] < 0
+    else:
+        lat = from_covers(n, pairs)
+        assert np.array_equal(lat._leq, leq)
+        assert np.array_equal(lat._join, join) and np.array_equal(lat._meet, meet)
+        assert tuple(lat.covers(x) for x in lat.elements) == covers
+        assert is_distributive(lat) == reference_distributive(join, meet)
+
+
+def chain_product_expectations(a, b):
+    """Covers, joins and meets of chain(a) x chain(b), element (i, j) = i*b + j."""
+    i, j = np.divmod(np.arange(a * b), b)
+    covers = tuple(
+        tuple(x + step for step, ok in ((1, jj + 1 < b), (b, ii + 1 < a)) if ok)
+        for x, (ii, jj) in enumerate(zip(i, j))
+    )
+    join = np.maximum.outer(i, i) * b + np.maximum.outer(j, j)
+    meet = np.minimum.outer(i, i) * b + np.minimum.outer(j, j)
+    return covers, join, meet
+
+
+def test_chain258_by_chain2_tables():
+    # more than 255 two-step paths per pair: uint8 path counts wrapped here
+    covers, join, meet = chain_product_expectations(258, 2)
+    pairs = [(x, c) for x, cs in enumerate(covers) for c in cs]
+    for lat in (product_lattice(chain_lattice(258), chain_lattice(2)), from_covers(516, pairs)):
+        assert tuple(lat.covers(x) for x in lat.elements) == covers
+        assert np.array_equal(lat._join, join) and np.array_equal(lat._meet, meet)
+        assert d_max(lat) == 2
+        assert is_distributive(lat)
+
+
+def test_order_axiom_violations():
+    with pytest.raises(NotALattice, match="not transitive"):
+        FiniteLattice(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool))
+    with pytest.raises(NotALattice, match=r"not transitive at \(0, 2\)"):
+        FiniteLattice(np.array([[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=bool))
+    with pytest.raises(NotALattice, match="not antisymmetric"):
+        FiniteLattice(np.array([[1, 1], [1, 1]], dtype=bool))
+    with pytest.raises(NotALattice, match="not reflexive"):
+        FiniteLattice(np.array([[0, 1], [0, 1]], dtype=bool))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat.errors import (
+    DomainViolation,
     FormatError,
     GroundSetMismatch,
     InvalidProbabilityVector,
@@ -180,6 +181,12 @@ def test_power_below_threshold_uniform():
         x = uniform_singleton(n)
         for j in range(n - 1):
             assert not power_exists(x, j + 0.5).exists, (n, j)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_power_exists_rejects_non_finite_exponent(alpha):
+    with pytest.raises(DomainViolation):
+        power_exists(uniform_singleton(3), alpha)
 
 
 def test_integer_powers_always_exist():
