@@ -105,10 +105,7 @@ def load_distribution(spec: str):
 
 
 def _config(args, fields):
-    cfg = {"seed": args.seed}
-    for name in fields:
-        cfg[name.replace("_", "-")] = getattr(args, name)
-    return cfg
+    return {name.replace("_", "-"): getattr(args, name) for name in fields}
 
 
 def _function_doc(fn):
@@ -519,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cmlat",
         description="Completely monotone functions on finite lattices and random subsets.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="echoed into outputs for reproducibility")
     sub = parser.add_subparsers(dest="group", required=True)
 
     def add(group_parser, name, handler, **kwargs):

@@ -392,32 +392,8 @@ def format_function_text(f: LatticeFunction, lattice_name="") -> str:
 
 def parse_function_text(text: str, lattice: FiniteLattice) -> LatticeFunction:
     """Parse the function exchange format against a known lattice."""
-    values = {}
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            if not line.startswith("lattice"):
-                raise FormatError("expected a 'lattice <name>' header", line=lineno)
-            header = line[len("lattice"):].strip()
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError("expected 'index value'", line=lineno)
-        try:
-            idx = int(fields[0])
-            val = Fraction(fields[1])
-        except ValueError:
-            raise FormatError(f"bad entry {line!r}", line=lineno) from None
-        if idx in values:
-            raise FormatError(f"duplicate index {idx}", line=lineno)
-        values[idx] = val
-    if header is None:
-        raise FormatError("empty function document", line=1)
-    missing = [x for x in lattice.elements if x not in values]
-    if missing or len(values) != lattice.n:
+    values = parse_partial_function_text(text, lattice)
+    if len(values) != lattice.n:
         raise FormatError(f"expected values for all {lattice.n} elements")
     return LatticeFunction(lattice, [values[x] for x in lattice.elements])
 

@@ -201,6 +201,8 @@ def two_atom_power_counterexample(x, alpha, order_cap: int = ORDER_CAP) -> Hanke
     """
     if not 0 < x < 1:
         raise DomainViolation("x must lie strictly inside (0, 1)")
+    if not math.isfinite(alpha):
+        raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha <= 0 or is_integral(alpha):
         raise DomainViolation("alpha must be positive and non-integer")
     for order in range(2, order_cap + 1):

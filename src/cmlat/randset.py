@@ -35,27 +35,32 @@ MASS_TOL = 1e-9
 SUM_TOL = 1e-12
 
 
-def _per_bit(values, ground_n, op):
+def _per_bit(a, ground_n, op):
+    """Yates' pass, in place, over the last axis of ``a`` (length 2^ground_n);
+    leading axes are a batch of independent tables.  ``a`` must be
+    C-contiguous: the passes write through reshaped views."""
+    for i in range(ground_n):
+        v = a.reshape(a.shape[:-1] + (-1, 2, 1 << i))  # v[..., 1, :] holds the masks with bit i set
+        op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
+    return a
+
+
+def _table(values):
     # float64 when every entry is a float; otherwise Python objects, so
     # Fractions and big ints stay exact
     if all(isinstance(v, float) for v in values):
-        a = np.array(values, dtype=float)
-    else:
-        a = np.array(values, dtype=object)
-    for i in range(ground_n):
-        v = a.reshape(-1, 2, 1 << i)  # v[:, 1, :] holds the masks with bit i set
-        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
-    return a.tolist()
+        return np.array(values, dtype=float)
+    return np.array(values, dtype=object)
 
 
 def subset_sums(values, ground_n):
     """Zeta transform: out[B] = sum of values[A] over A inside B."""
-    return _per_bit(values, ground_n, np.add)
+    return _per_bit(_table(values), ground_n, np.add).tolist()
 
 
 def subset_mobius(values, ground_n):
     """Inverse of :func:`subset_sums`."""
-    return _per_bit(values, ground_n, np.subtract)
+    return _per_bit(_table(values), ground_n, np.subtract).tolist()
 
 
 def mask_set(mask, n) -> str:
@@ -83,7 +88,7 @@ class RandomSubset:
         if kind == RATIONAL:
             if total != 1:
                 raise InvalidProbabilityVector(f"masses sum to {total}, not 1")
-        elif abs(total - 1.0) > SUM_TOL:
+        elif not abs(total - 1.0) <= SUM_TOL:  # a NaN total fails too
             raise InvalidProbabilityVector(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", vals)
@@ -229,6 +234,8 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     The result is infinitely divisible; the inversion cannot produce negative
     mass, so a failure here is asserted rather than reported.
     """
+    if not math.isfinite(lam):
+        raise DomainViolation(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
     v = void_functional(x)

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._scalars import coerce_values
-from .errors import DomainViolation, SearchFailed
-from .randset import RandomSubset, subset_sums
+from .errors import BudgetExceeded, DomainViolation, SearchFailed
+from .randset import RandomSubset, _per_bit, subset_sums
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -32,6 +32,8 @@ COARSE_LADDER_LEN = 11  # first pass stops at 1e-4; wider windows win when possi
 EPS_START = Fraction(1, 4)
 MAX_HALVINGS = 60
 CERTIFY_BUDGET = 40000
+GRID_POINT_CAP = 10**6
+SCAN_BLOCK_BYTES = 4 << 20  # bound on one block of grid rows of q in _scan
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,7 @@ def q_poly(x: RandomSubset, a_mask: int) -> ExponentialPolynomial:
     """
     if not 0 <= a_mask < (1 << x.n):
         raise DomainViolation(f"subset mask {a_mask} out of range")
-    return _q_from_table(x.containment_table(), a_mask)
-
-
-def _q_from_table(w, a_mask):
-    """q(A) from a containment table w[B] = P{X subset B}."""
+    w = x.containment_table()
     size_a = bin(a_mask).count("1")
     terms = []
     sub = a_mask
@@ -158,40 +156,56 @@ def scan_S(
     return _scan(x, T, step, margin, refine_tol)[0]
 
 
+def _min_q(w, alphas):
+    """min over |A| >= 2 of q(A, alpha) and the least mask attaining it, for
+    each alpha of a block: q(., alpha) is the subset-Mobius transform of w**alpha.
+
+    ``w`` is the float64 containment table; 0.0**alpha = 0 for alpha > 0.
+    """
+    n = len(w).bit_length() - 1
+    if n < 2:
+        return np.zeros(len(alphas)), np.zeros(len(alphas), dtype=int)
+    q = _per_bit(w ** alphas[:, None], n, np.subtract)
+    # q over smaller sets is monotonicity, always >= 0
+    q[:, [0] + [1 << i for i in range(n)]] = np.inf
+    masks = np.argmin(q, axis=1)
+    return q[np.arange(len(alphas)), masks], masks
+
+
 def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
     """The scan behind :func:`scan_S`; also returns the grid rows
     (alpha, min_A q(A), argmin mask), the CSV view.
 
-    One containment table serves every q(A) on the grid and in the refinement.
+    One containment table serves the grid (in row blocks of at most
+    SCAN_BLOCK_BYTES) and every refinement step (a block of one alpha).
     """
+    if not (math.isfinite(T) and math.isfinite(step)):
+        raise DomainViolation(f"need finite T and step, got T={T}, step={step}")
     if T <= 0 or step <= 0:
         raise DomainViolation("need T > 0 and step > 0")
-    w = x.containment_table()
-    # q over smaller sets is monotonicity, always >= 0
-    masks = [mask for mask in range(1 << x.n) if bin(mask).count("1") >= 2]
-    polys = [_q_from_table(w, mask) for mask in masks]
+    if T / step > GRID_POINT_CAP:
+        raise BudgetExceeded(f"grid of T/step = {T / step:.3g} points exceeds cap {GRID_POINT_CAP}")
+    w = np.array([float(t) for t in x.containment_table()])
 
     def min_q(alpha: float) -> float:
         if alpha == 0:
             return 0.0  # X_0 is the empty set; every q vanishes
-        return min((p(alpha) for p in polys), default=0.0)
+        return float(_min_q(w, np.array([alpha]))[0][0])
 
     count = int(round(float(T) / step))
     grid = np.array([i * step for i in range(count + 1)], dtype=float)
     if grid[-1] < float(T) - 1e-12:
         grid = np.append(grid, float(T))
     grid[-1] = float(T)
-    if polys:
-        table = np.vstack([p.grid_values(grid) for p in polys])
-        argmin = np.argmin(table, axis=0)
-        vals = table[argmin, np.arange(len(grid))]
-        argmin_masks = [masks[i] for i in argmin]
-    else:
-        vals = np.zeros_like(grid)
-        argmin_masks = [0] * len(grid)
+    vals = np.empty_like(grid)
+    argmin_masks = np.empty(len(grid), dtype=int)
+    rows_per_block = max(1, SCAN_BLOCK_BYTES // w.nbytes)
+    for start in range(0, len(grid), rows_per_block):
+        block = slice(start, start + rows_per_block)
+        vals[block], argmin_masks[block] = _min_q(w, grid[block])
     vals[0] = 0.0
     argmin_masks[0] = 0
-    rows = [(float(a), float(v), m) for a, v, m in zip(grid, vals, argmin_masks)]
+    rows = list(zip(grid.tolist(), vals.tolist(), argmin_masks.tolist()))
     exists = vals >= -margin
 
     def _bisect(lo, hi):

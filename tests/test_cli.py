@@ -356,3 +356,36 @@ def test_scale_smoke_chain64_by_chain32(tmp_path, capsys):
     code, doc, _ = run(capsys, "cm", "check", "--lattice", str(lat_path), "--fn", str(fn_path))
     assert code == 0
     assert doc["result"]["min_weight"] == str(min(weights))
+
+
+def test_lattice_check_chain64_by_chain32(tmp_path, capsys):
+    # 2048 elements: above the 1024-element cap the distributivity check once had
+    text, pairs = chain_product_document(64, 32)
+    path = tmp_path / "c64x32.lat"
+    path.write_text(text)
+    code, doc, _ = run(capsys, "lattice", "check", "--lattice", str(path))
+    assert code == 0
+    result = doc["result"]
+    assert result["valid"] and result["distributive"] and result["d_max"] == 2
+    assert [tuple(p) for p in result["cover_pairs"]] == pairs
+
+
+@pytest.mark.parametrize(
+    "T, step, error",
+    [("inf", "0.01", "DomainViolation"), ("nan", "0.01", "DomainViolation"),
+     ("4", "nan", "DomainViolation"), ("4", "1e-9", "BudgetExceeded")],
+)
+def test_scan_unbounded_grid_exits_two(capsys, T, step, error):
+    code, doc, err = run(capsys, "scan", "s-set", "--dist", "uniform-singleton:3", "--T", T, "--step", step)
+    assert (code, doc) == (2, None)
+    assert error in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_rate_and_hankel_exponent_exit_two(capsys, value):
+    code, doc, err = run(capsys, "randset", "poisson", "--dist", "uniform-singleton:3", "--lam", value)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err
+    code, doc, err = run(capsys, "cmseq", "hankel", "--x", "0.5", "--alpha", value)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err

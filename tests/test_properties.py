@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat.cm import LatticeFunction, delta, is_cm, mobius_weights, reconstruct
 from cmlat.lattice import diamond_lattice, pentagon_lattice
-from cmlat.randset import RandomSubset, power_exists, subset_mobius, subset_sums
+from cmlat.randset import RandomSubset, _per_bit, power_exists, subset_mobius, subset_sums
 from cmlat.scan import ExponentialPolynomial, scan_S
 
 fractions = st.fractions(min_value=-8, max_value=8, max_denominator=16)
@@ -60,6 +61,20 @@ def test_float_kernel_is_bitwise_the_reference_loop(table):
         got = kernel(vals, n)
         assert type(got) is list and all(type(v) is float for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in reference(vals, n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda rows: tables(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=rows, max_size=rows))
+))
+def test_batched_kernel_is_bitwise_row_by_row(table):
+    # the scan transforms a (rows, 2^n) block at once; each row must be the list kernel's answer
+    n, columns = table
+    block = np.array(columns, dtype=float).T.copy()
+    for op, kernel in ((np.add, subset_sums), (np.subtract, subset_mobius)):
+        got = _per_bit(block.copy(), n, op)
+        want = [kernel(row, n) for row in block.tolist()]
+        assert [[v.hex() for v in row] for row in got.tolist()] == [[v.hex() for v in row] for row in want]
 
 
 big = st.one_of(

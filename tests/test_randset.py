@@ -65,6 +65,8 @@ def test_validation():
         RandomSubset(1, [Fraction(1, 2), Fraction(1, 3)])
     with pytest.raises(InvalidProbabilityVector):
         RandomSubset(1, [-0.25, 1.25])
+    with pytest.raises(InvalidProbabilityVector):
+        RandomSubset(1, [math.nan, 1.0])
     with pytest.raises(SizeLimitExceeded):
         RandomSubset(25, [1])
     with pytest.raises(InvalidProbabilityVector):

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmlat.errors import DomainViolation
+from cmlat import scan
+from cmlat.errors import BudgetExceeded, DomainViolation
 from cmlat.randset import RandomSubset, poisson_union, singleton_set, uniform_singleton
 from cmlat.scan import (
     ExponentialPolynomial,
     IntervalSet,
+    construct_multi_interval,
     power_difference_profile,
     q_poly,
     scan_S,
@@ -159,8 +161,11 @@ def test_scan_integers_always_covered():
 
 
 def test_scan_rejects_bad_domain():
-    with pytest.raises(DomainViolation):
-        scan_S(uniform_singleton(2), -1.0)
+    for T, step in ((-1.0, 0.01), (math.inf, 0.01), (math.nan, 0.01), (4.0, math.nan), (4.0, math.inf)):
+        with pytest.raises(DomainViolation):
+            scan_S(uniform_singleton(2), T, step)
+    with pytest.raises(BudgetExceeded):  # T/step grid points, checked before allocation
+        scan_S(uniform_singleton(2), 4.0, 1e-9)
 
 
 def test_scan_step_missing_integers_still_covers_them():
@@ -169,6 +174,48 @@ def test_scan_step_missing_integers_still_covers_them():
     points, intervals = component_signature(result)
     assert 1.0 in points and 0.0 in points
     assert intervals[0][0] == pytest.approx(2.0, abs=0.06)
+
+
+def reference_min_q(x):
+    """The per-mask evaluation the scan replaced: min over |A| >= 2 of
+    q_poly(x, A) on each alpha, ties to the lowest mask."""
+    masks = [m for m in range(1 << x.n) if bin(m).count("1") >= 2]
+    polys = [q_poly(x, m) for m in masks]
+
+    def min_q(w, alphas):
+        table = np.vstack([p.grid_values(alphas) for p in polys])
+        pick = np.argmin(table, axis=0)
+        return table[pick, np.arange(len(alphas))], np.array(masks)[pick]
+
+    return min_q
+
+
+def oracle_laws():
+    rng = random.Random(29)
+    for n in (3, 4, 5, 6, 7):
+        yield random_singleton(n, rng), n + 1.0
+    yield example2(Fraction(1, 2)), 3.0
+    yield poisson_union(random_singleton(3, rng), 1.3), 3.0
+    yield construct_multi_interval(6, 3).x, 7.0
+
+
+@pytest.mark.parametrize("x, T", list(oracle_laws()))
+def test_scan_matches_per_mask_oracle(monkeypatch, x, T):
+    got, got_rows = scan._scan(x, T, 0.01)
+    monkeypatch.setattr(scan, "SCAN_BLOCK_BYTES", 7 * 8 << x.n)  # 7 rows a block, a ragged last one
+    assert scan._scan(x, T, 0.01)[1] == got_rows
+    monkeypatch.setattr(scan, "_min_q", reference_min_q(x))
+    want, want_rows = scan._scan(x, T, 0.01)
+    assert [(c.lo, c.hi, c.is_point) for c in got.components] == [
+        (c.lo, c.hi, c.is_point) for c in want.components
+    ]
+    for c, d in zip(got.components, want.components):
+        assert abs(c.margin - d.margin) <= 1e-12
+    assert [r[0] for r in got_rows] == [r[0] for r in want_rows]
+    for (alpha, value, mask), (_, ref_value, ref_mask) in zip(got_rows, want_rows):
+        assert abs(value - ref_value) <= 1e-12, alpha
+        if mask != ref_mask:  # a tie between two masks, up to rounding
+            assert abs(q_poly(x, mask)(alpha) - ref_value) <= 1e-12, alpha
 
 
 def test_scan_sure_empty_set_is_whole_domain():
