@@ -1,23 +1,36 @@
 """Scalar helpers shared by the numeric modules.
 
 Values are either exact rationals (``fractions.Fraction``, ints are coerced)
-or binary64 floats.  A value list is "rational" only if every entry is exact;
-one float anywhere demotes the whole list.
+or finite binary64 floats.  A value list is "rational" only if every entry is
+exact; one float anywhere demotes the whole list.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import BudgetExceeded, DomainViolation
 
 RATIONAL = "rational"
 FLOAT = "float"
 
+# exact k-th powers of a table are refused above this many bits in all
+POWER_BIT_BUDGET = 1 << 26
+
 
 def coerce_values(values):
-    """Return ``(tuple_of_values, kind)`` with a uniform scalar kind."""
+    """Return ``(tuple_of_values, kind)`` with a uniform scalar kind.
+
+    A NaN or infinite float raises DomainViolation.
+    """
     vals = list(values)
     if any(isinstance(v, float) for v in vals):
-        return tuple(float(v) for v in vals), FLOAT
+        out = tuple(float(v) for v in vals)
+        if not all(map(math.isfinite, out)):
+            bad = next(v for v in out if not math.isfinite(v))
+            raise DomainViolation(f"values must be finite, got {bad}")
+        return out, FLOAT
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals), RATIONAL
 
 
@@ -46,3 +59,14 @@ def pow_scalar(value, alpha):
     if is_integral(alpha):
         return value ** int(alpha)
     return float(value) ** float(alpha)
+
+
+def check_power_size(count, k, bits):
+    """Refuse ``count`` exact k-th powers of integers of up to ``bits`` bits
+    when their size, about count * k * bits bits, exceeds POWER_BIT_BUDGET.
+    Called before any power is taken."""
+    size = count * k * bits
+    if size > POWER_BIT_BUDGET:
+        raise BudgetExceeded(
+            f"{count} exact powers with exponent {k} need about {size} bits, over the budget of {POWER_BIT_BUDGET}"
+        )

@@ -625,6 +625,10 @@ def main(argv=None) -> int:
     except CmlatError as exc:
         print(f"cmlat: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a defect, still reported in one line: no traceback reaches the user
+        message = " ".join(str(exc).split())
+        print(f"cmlat: unexpected {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
+from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral, pow_scalar
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -266,11 +266,18 @@ def is_cm_bruteforce(f: LatticeFunction, max_len=None, budget=BRUTEFORCE_BUDGET)
 
 
 def power(f: LatticeFunction, alpha) -> LatticeFunction:
-    """Pointwise power with 0**0 = 1; stays rational for integral exponents."""
+    """Pointwise power with 0**0 = 1; stays rational for integral exponents.
+
+    An exact power whose size would exceed the budget of
+    :func:`check_power_size` raises BudgetExceeded before it is taken.
+    """
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainViolation(f"exponent must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("exponent must be nonnegative")
+    if f.kind == RATIONAL and is_integral(alpha):
+        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in f.values)
+        check_power_size(len(f.values), int(alpha), bits)
     return LatticeFunction(f.lattice, [pow_scalar(v, alpha) for v in f.values])
 
 
@@ -370,7 +377,7 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
         raise ValueError("m must be a positive integer")
     if any(v < 0 or v > 1 for v in f.values):
         raise ValueOutOfUnitInterval("accompaniment needs values in [0, 1]")
-    vals = [math.exp(-m * (1.0 - pow_scalar(float(v), 1.0 / m))) for v in f.values]
+    vals = [math.exp(-m * (1.0 - math.pow(float(v), 1.0 / m))) for v in f.values]
     return LatticeFunction(f.lattice, vals)
 
 

@@ -307,6 +307,8 @@ def chain_lattice(k, name="") -> FiniteLattice:
     """Total order on k elements."""
     if k < 1:
         raise NotALattice("a chain needs at least one element")
+    if k > GENERAL_SIZE_CAP:
+        raise SizeLimitExceeded(f"{k} elements exceeds cap {GENERAL_SIZE_CAP}")
     leq = np.triu(np.ones((k, k), dtype=bool))
     return FiniteLattice(leq, name=name or f"chain{k}")
 
@@ -338,6 +340,8 @@ def product_lattice(a: FiniteLattice, b: FiniteLattice, name="") -> FiniteLattic
     if isinstance(a, BooleanLattice) or isinstance(b, BooleanLattice):
         a = materialize(a)
         b = materialize(b)
+    if a.n * b.n > GENERAL_SIZE_CAP:
+        raise SizeLimitExceeded(f"{a.n * b.n} elements exceeds cap {GENERAL_SIZE_CAP}")
     leq = np.kron(a._leq, b._leq)
     return FiniteLattice(leq, name=name or f"({a.name}x{b.name})")
 

@@ -9,6 +9,22 @@ exists exactly when every q(A) clears the tolerance.
 
 :func:`subset_sums` and :func:`subset_mobius` are the package's only subset
 transform (Yates' per-bit pass); `cm` and `scan` call them too.
+
+A table over the 2^n masks stays one dense array from the parsed document to
+the verdict, in one of two forms:
+
+- float laws: a float64 array;
+- exact laws: integer numerators over their least common denominator D, as
+  int64 while every partial sum of a transform provably fits (largest
+  magnitude times the table length below 2^63), as Python ints in an object
+  array otherwise.  An integral power is num**k over D**k, and verdicts
+  compare the integers.
+
+Python scalars (floats, Fractions) are built only at the API boundary: the
+``probs``, ``table`` and ``q_values`` tuples.  The pointwise float power and
+exponential call libm once per entry (`math.pow`, `math.exp`) rather than
+numpy's vectorised versions: numpy's SIMD pow can differ from libm in the
+last place, and a verdict must not depend on how numpy was built.
 """
 
 from __future__ import annotations
@@ -16,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
+from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -33,6 +51,7 @@ from .errors import (
 GROUND_CAP = 20
 MASS_TOL = 1e-9
 SUM_TOL = 1e-12
+_INT64_LIMIT = 1 << 63
 
 
 def _per_bit(a, ground_n, op):
@@ -45,22 +64,106 @@ def _per_bit(a, ground_n, op):
     return a
 
 
-def _table(values):
-    # float64 when every entry is a float; otherwise Python objects, so
-    # Fractions and big ints stay exact
-    if all(isinstance(v, float) for v in values):
-        return np.array(values, dtype=float)
-    return np.array(values, dtype=object)
+class _Dense(NamedTuple):
+    """A table over all masks: float64 ``values`` (``den`` is None), or
+    integer numerators over the common denominator ``den``."""
+
+    values: np.ndarray
+    den: int | None = None
+
+
+def _numerators(fractions):
+    """Exact values as integer numerators over their least common denominator."""
+    den = math.lcm(*{v.denominator for v in fractions})
+    return [v.numerator * (den // v.denominator) for v in fractions], den
+
+
+def _int_dtype(nums, size):
+    """int64 when a subset transform over ``size`` integers no larger in
+    magnitude than those of ``nums`` cannot overflow (every partial sum is at
+    most size times the largest), else object, for Python ints."""
+    return np.int64 if max(map(abs, nums), default=0) * size < _INT64_LIMIT else object
+
+
+def _magnitude(a):
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _dense_of(vals, kind) -> _Dense:
+    """Dense form of a tuple from :func:`coerce_values`."""
+    if kind == FLOAT:
+        return _Dense(np.array(vals, dtype=float))
+    nums, den = _numerators(vals)
+    return _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
+
+
+def _transform(a, ground_n, op):
+    """One subset transform of a dense array, in a C-contiguous copy.
+
+    Int64 tables cannot overflow: :func:`_int_dtype` admits only tables whose
+    every partial sum fits, and a partial Mobius sum of D**k times a law's
+    containment table raised to k is D**k times a probability of the k-fold
+    union's law, so it lies in [0, D**k], which :func:`_int_power` bounds.
+    """
+    return _per_bit(a.copy(order="C"), ground_n, op)
+
+
+def _to_scalar(d: _Dense, v):
+    """One entry of ``d`` as a Python float or Fraction."""
+    return float(v) if d.den is None else Fraction(int(v), d.den)
+
+
+def _to_scalars(d: _Dense) -> list:
+    """Every entry of ``d`` as Python floats or Fractions."""
+    if d.den is None:
+        return d.values.tolist()
+    den, zero = d.den, Fraction(0)
+    return [Fraction(v, den) if v else zero for v in d.values.tolist()]
+
+
+def _floats(d: _Dense) -> np.ndarray:
+    """``d`` as float64, each entry the correctly rounded value of num/den
+    (as ``float(Fraction)`` rounds it)."""
+    if d.den is None:
+        return d.values
+    if d.values.dtype == np.int64 and d.den < 1 << 53 and _magnitude(d.values) < 1 << 53:
+        return d.values / d.den  # both operands exact in binary64: one rounding
+    return np.array([v / d.den for v in d.values.tolist()])  # Python int division rounds once
+
+
+def _float_power(values, alpha) -> np.ndarray:
+    """values**alpha entry by entry through libm (0**0 = 1)."""
+    # + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0 as 0**k is
+    return np.fromiter(map(math.pow, (values + 0.0).tolist(), repeat(float(alpha))), float, len(values))
+
+
+def _int_power(d: _Dense, k) -> _Dense:
+    """Exact d**k as numerators over den**k; int64 while the powers fit."""
+    values = d.values
+    check_power_size(len(values), k, d.den.bit_length())
+    if values.dtype == np.int64 and k * _magnitude(values).bit_length() < 63:
+        return _Dense(values**k, d.den**k)
+    return _Dense(values.astype(object) ** k, d.den**k)
+
+
+def _list_transform(values, ground_n, op):
+    vals, kind = coerce_values(values)
+    d = _dense_of(vals, kind)
+    return _to_scalars(_Dense(_transform(d.values, ground_n, op), d.den))
 
 
 def subset_sums(values, ground_n):
-    """Zeta transform: out[B] = sum of values[A] over A inside B."""
-    return _per_bit(_table(values), ground_n, np.add).tolist()
+    """Zeta transform: out[B] = sum of values[A] over A inside B.
+
+    List in, list out: floats when any entry is a float, else Fractions
+    (computed on integer numerators over a common denominator).
+    """
+    return _list_transform(values, ground_n, np.add)
 
 
 def subset_mobius(values, ground_n):
     """Inverse of :func:`subset_sums`."""
-    return _per_bit(_table(values), ground_n, np.subtract).tolist()
+    return _list_transform(values, ground_n, np.subtract)
 
 
 def mask_set(mask, n) -> str:
@@ -76,30 +179,57 @@ class RandomSubset:
     probs: tuple
 
     def __init__(self, n, probs):
-        if not 1 <= n <= GROUND_CAP:
-            raise SizeLimitExceeded(f"ground set must have 1..{GROUND_CAP} points, got {n}")
-        vals, kind = coerce_values(probs)
-        if len(vals) != 1 << n:
-            raise InvalidProbabilityVector(f"expected {1 << n} masses, got {len(vals)}")
-        low = min(vals)
+        _check_ground(n)
+        try:
+            vals, kind = coerce_values(probs)
+        except DomainViolation as exc:  # a non-finite mass
+            raise InvalidProbabilityVector(str(exc)) from exc
+        self._fill(n, _dense_of(vals, kind), vals)
+
+    @classmethod
+    def _from_dense(cls, n, d: _Dense):
+        x = cls.__new__(cls)
+        _check_ground(n)
+        x._fill(n, d, None)
+        return x
+
+    def _fill(self, n, d, vals):
+        if len(d.values) != 1 << n:
+            raise InvalidProbabilityVector(f"expected {1 << n} masses, got {len(d.values)}")
+        low = d.values.min()
         if low < 0:
-            raise InvalidProbabilityVector(f"negative mass {low}")
-        total = sum(vals)
-        if kind == RATIONAL:
-            if total != 1:
-                raise InvalidProbabilityVector(f"masses sum to {total}, not 1")
-        elif not abs(total - 1.0) <= SUM_TOL:  # a NaN total fails too
-            raise InvalidProbabilityVector(f"masses sum to {total!r}, not 1")
+            raise InvalidProbabilityVector(f"negative mass {_to_scalar(d, low)}")
+        vals = tuple(_to_scalars(d)) if vals is None else vals
+        if d.den is not None:
+            total = int(d.values.sum())
+            if total != d.den:
+                raise InvalidProbabilityVector(f"masses sum to {Fraction(total, d.den)}, not 1")
+        else:
+            total = sum(vals)  # left to right, as the masses are listed
+            if not abs(total - 1.0) <= SUM_TOL:  # a NaN total fails too
+                raise InvalidProbabilityVector(f"masses sum to {total!r}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "probs", vals)
+        object.__setattr__(self, "_dense", d)
 
     @property
     def kind(self):
-        return RATIONAL if all(not isinstance(v, float) for v in self.probs) else FLOAT
+        return FLOAT if self._dense.den is None else RATIONAL
 
     def containment_table(self):
         """P{X subset B} for every mask B (the subset-sum transform)."""
         return subset_sums(self.probs, self.n)
+
+
+def _check_ground(n):
+    if not 1 <= n <= GROUND_CAP:
+        raise SizeLimitExceeded(f"ground set must have 1..{GROUND_CAP} points, got {n}")
+
+
+def _containment(x: RandomSubset) -> _Dense:
+    """Dense P{X subset B} for every mask B."""
+    d = x._dense
+    return _Dense(_transform(d.values, x.n, np.add), d.den)
 
 
 @dataclass(frozen=True)
@@ -111,19 +241,25 @@ class VoidFunctional:
 
     def __init__(self, n, table):
         vals, kind = coerce_values(table)
-        if len(vals) != 1 << n:
-            raise ValueError(f"expected {1 << n} entries, got {len(vals)}")
-        if kind == RATIONAL:
-            if vals[0] != 1:
-                raise NotAVoidFunctional(f"V(empty) = {vals[0]}, must be 1", witness=0)
-        elif abs(vals[0] - 1.0) > SUM_TOL:
-            raise NotAVoidFunctional(f"V(empty) = {vals[0]!r}, must be 1", witness=0)
+        self._fill(n, _dense_of(vals, kind), vals)
+
+    @classmethod
+    def _from_dense(cls, n, d: _Dense):
+        v = cls.__new__(cls)
+        v._fill(n, d, None)
+        return v
+
+    def _fill(self, n, d, vals):
+        if len(d.values) != 1 << n:
+            raise ValueError(f"expected {1 << n} entries, got {len(d.values)}")
+        _check_void(d)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", vals)
+        object.__setattr__(self, "table", tuple(_to_scalars(d)) if vals is None else vals)
+        object.__setattr__(self, "_dense", d)
 
     @property
     def kind(self):
-        return RATIONAL if all(not isinstance(v, float) for v in self.table) else FLOAT
+        return FLOAT if self._dense.den is None else RATIONAL
 
     def capacity(self):
         """Capacity functional T = 1 - V."""
@@ -131,6 +267,16 @@ class VoidFunctional:
 
     def __call__(self, mask):
         return self.table[mask]
+
+
+def _check_void(d: _Dense):
+    """V(empty) must be 1 (within SUM_TOL for a float table)."""
+    v0 = d.values[0]
+    if d.den is not None:
+        if v0 != d.den:
+            raise NotAVoidFunctional(f"V(empty) = {_to_scalar(d, v0)}, must be 1", witness=0)
+    elif abs(float(v0) - 1.0) > SUM_TOL:
+        raise NotAVoidFunctional(f"V(empty) = {float(v0)!r}, must be 1", witness=0)
 
 
 @dataclass(frozen=True)
@@ -162,8 +308,9 @@ class PowerVerdict:
 
 def void_functional(x: RandomSubset) -> VoidFunctional:
     """V(K) = P{X inside complement of K}, via one subset-sum transform."""
+    w = _containment(x)
     # mask full ^ K sits at the reversed index
-    return VoidFunctional(x.n, x.containment_table()[::-1])
+    return VoidFunctional._from_dense(x.n, _Dense(w.values[::-1], w.den))
 
 
 def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
@@ -173,19 +320,21 @@ def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
     -tol (exact negativity in rational mode); float masses in (-tol, 0) are
     clamped to zero.
     """
-    masses = subset_mobius(v.table[::-1], v.n)
-    rational = v.kind == RATIONAL
-    cutoff = 0 if rational else -tol
-    worst = min(range(len(masses)), key=lambda a: masses[a])
-    if masses[worst] < cutoff:
+    return _invert(v.n, v._dense, tol)
+
+
+def _invert(n, v: _Dense, tol) -> RandomSubset:
+    """:func:`from_void` on a dense void table."""
+    masses = _transform(v.values[::-1], n, np.subtract)
+    worst = int(np.argmin(masses))
+    if masses[worst] < (-tol if v.den is None else 0):
+        mass = _to_scalar(v, masses[worst])
         raise NotAVoidFunctional(
-            f"mass {masses[worst]} at {mask_set(worst, v.n)}: not completely monotone",
-            witness=worst,
-            mass=masses[worst],
+            f"mass {mass} at {mask_set(worst, n)}: not completely monotone", witness=worst, mass=mass
         )
-    if not rational:
-        masses = [0.0 if m < 0 else m for m in masses]
-    return RandomSubset(v.n, masses)
+    if v.den is None:
+        masses = np.where(masses < 0, 0.0, masses)
+    return RandomSubset._from_dense(n, _Dense(masses, v.den))
 
 
 def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
@@ -193,28 +342,30 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
 
     Evaluates the full candidate-mass table q(A); existence means every q(A)
     is at or above -tol.  Values clamped from (-tol, 0) set the boundary flag
-    so exact integer exponents classify as existing.
+    so exact integer exponents classify as existing.  An exact law and an
+    integral alpha give exact Fractions; any other pair gives floats.
     """
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    w = x.containment_table()
-    wa = [pow_scalar(t, alpha) for t in w]
-    q = subset_mobius(wa, x.n)
-    rational = all(not isinstance(t, float) for t in q)
-    worst = min(range(len(q)), key=lambda a: q[a])
-    min_q = q[worst]
-    exists = min_q >= 0 if rational else min_q >= -tol
-    boundary = (not rational) and exists and min_q < 0
+    w = _containment(x)
+    exact = w.den is not None and is_integral(alpha)
+    wa = _int_power(w, int(alpha)) if exact else _Dense(_float_power(_floats(w), alpha))
+    q = _Dense(_transform(wa.values, x.n, np.subtract), wa.den)
+    worst = int(np.argmin(q.values))
+    low = q.values[worst]
+    exists = bool(low >= 0 if exact else low >= -tol)
+    q_values = tuple(_to_scalars(q))
+    min_q = q_values[worst]
     return PowerVerdict(
         exists=exists,
         alpha=alpha,
         n=x.n,
-        q_values=tuple(q),
+        q_values=q_values,
         min_q=min_q,
         witness=None if exists else worst,
-        boundary=boundary,
+        boundary=(not exact) and exists and min_q < 0,
         tol=float(tol),
     )
 
@@ -223,27 +374,28 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
     """Union of m independent copies: void functional V^m, inverted exactly."""
     if m < 1 or not is_integral(m):
         raise ValueError("m must be a positive integer")
-    v = void_functional(x)
-    vm = VoidFunctional(x.n, [pow_scalar(t, int(m)) for t in v.table])
-    return from_void(vm)
+    w = _containment(x)
+    v = _Dense(w.values[::-1], w.den)
+    vm = _int_power(v, int(m)) if v.den is not None else _Dense(_float_power(v.values, int(m)))
+    _check_void(vm)
+    return _invert(x.n, vm, MASS_TOL)
 
 
 def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     """Union of Poisson(lam) many independent copies: V = exp(lam (V_X - 1)).
 
-    The result is infinitely divisible; the inversion cannot produce negative
-    mass, so a failure here is asserted rather than reported.
+    The exponent is taken as lam (V_X(K) - V_X(empty)): V_X(empty) is the
+    total mass, which a float law meets only up to rounding, and a large lam
+    would otherwise turn that rounding into V(empty) < 1.  Masses that the
+    inversion leaves below -MASS_TOL raise NotAVoidFunctional.
     """
     if not math.isfinite(lam):
         raise DomainViolation(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    v = void_functional(x)
-    table = [math.exp(float(lam) * (float(t) - 1.0)) for t in v.table]
-    try:
-        return from_void(VoidFunctional(x.n, table))
-    except NotAVoidFunctional as exc:  # pragma: no cover - mathematically impossible
-        raise AssertionError(f"poisson union produced negative mass: {exc}") from exc
+    v = _floats(_containment(x))[::-1]
+    exponent = float(lam) * (v - v[0])
+    return _invert(x.n, _Dense(np.fromiter(map(math.exp, exponent.tolist()), float, len(v))), MASS_TOL)
 
 
 def singleton_set(*ps) -> RandomSubset:
@@ -276,9 +428,7 @@ def void_distance(x: RandomSubset, y: RandomSubset) -> float:
     """Sup distance between void functionals over all 2^n compact sets."""
     if x.n != y.n:
         raise GroundSetMismatch(f"ground sets differ: {x.n} vs {y.n}")
-    vx = void_functional(x).table
-    vy = void_functional(y).table
-    return max(abs(float(a) - float(b)) for a, b in zip(vx, vy))
+    return float(np.abs(_floats(_containment(x)) - _floats(_containment(y))).max())
 
 
 def is_m_divisible(x: RandomSubset, m: int, tol=MASS_TOL) -> PowerVerdict:
@@ -358,16 +508,28 @@ def _read_mask_lines(text: str, document: str, value_name: str, number):
 
 
 def parse_distribution_text(text: str) -> RandomSubset:
+    """Distribution document: 'n' then 'mask probability' lines.
+
+    Only the listed masks are summed (a mask listed twice gets both masses);
+    the dense table is filled once, from the exact total's verdict: masses
+    summing to 1 stay exact, decimal prints of binary64 masses become floats.
+    """
     n, entries = _read_mask_lines(text, "distribution", "probability", Fraction)
-    masses = [Fraction(0)] * (1 << n)
+    listed = {}
     for _, mask, p in entries:
-        masses[mask] += p
-    total = sum(masses)
+        listed[mask] = listed.get(mask, 0) + p
+    total = sum(listed.values())
+    masks = list(listed)
     if total != 1 and abs(float(total) - 1.0) <= SUM_TOL:
         # decimal prints of binary64 masses: keep them, but as floats
-        masses = [float(m) for m in masses]
+        law = _Dense(np.zeros(1 << n))
+        law.values[masks] = [float(p) for p in listed.values()]
+    else:
+        nums, den = _numerators(listed.values())
+        law = _Dense(np.zeros(1 << n, dtype=_int_dtype(nums, 1 << n)), den)
+        law.values[masks] = nums
     try:
-        return RandomSubset(n, masses)
+        return RandomSubset._from_dense(n, law)
     except InvalidProbabilityVector as exc:
         raise FormatError(str(exc)) from exc
 

@@ -321,6 +321,54 @@ def test_non_finite_exponents_exit_two(tmp_path, capsys, alpha):
     assert "DomainViolation" in err
 
 
+def exact_law_document(path, n=12, atoms=32, seed=5):
+    rng = random.Random(seed)
+    masks = rng.sample(range(1, 1 << n), atoms)
+    weights = [rng.randint(1, 9) for _ in masks]
+    total = sum(weights)
+    path.write_text(f"{n}\n" + "".join(f"{a} {w}/{total}\n" for a, w in zip(masks, weights)))
+    return str(path)
+
+
+def test_exact_powers_over_budget_exit_two(tmp_path, capsys):
+    # the k-th powers of a 4096-entry table would take terabits: refused before any power
+    dist = exact_law_document(tmp_path / "exact12.dist")
+    for argv in (["power-exists", "--dist", dist, "--alpha", "1e7"],
+                 ["union", "--dist", dist, "--m", "100000000"]):
+        code, doc, err = run(capsys, "randset", *argv)
+        assert (code, doc) == (2, None)
+        assert "BudgetExceeded" in err
+
+
+def test_poisson_huge_rate_exits_zero(tmp_path, capsys):
+    # seven prints of 1/7 sum to 1 - 4e-16: a float law whose V(empty) rounds below 1
+    dist = tmp_path / "sevenths.dist"
+    dist.write_text("3\n" + "".join(f"{a} 0.1428571428571428\n" for a in range(1, 8)))
+    code, doc, err = run(capsys, "randset", "poisson", "--dist", str(dist), "--lam", "1e20")
+    assert code == 0, err
+    assert doc["result"]["distribution"]["masses"] == {
+        "7": {"mask": 7, "probability": 1.0, "set": "{1,2,3}"}
+    }
+
+
+def test_oversized_chain_exits_two(capsys):
+    code, doc, err = run(capsys, "lattice", "check", "--lattice", "chain:100000000")
+    assert (code, doc) == (2, None)
+    assert "SizeLimitExceeded" in err
+
+
+def test_unexpected_exception_exits_two_in_one_line(monkeypatch, capsys):
+    from cmlat import cli
+
+    def broken(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_lattice_check", broken)
+    code, doc, err = run(capsys, "lattice", "check", "--lattice", "chain:3")
+    assert (code, doc) == (2, None)
+    assert err == "cmlat: unexpected RuntimeError: first line second line\n"
+
+
 def chain_product_document(a, b):
     """Cover document of chain(a) x chain(b), element (i, j) = i*b + j."""
     pairs = [(i * b + j, i * b + j + 1) for i in range(a) for j in range(b - 1)]

@@ -287,6 +287,24 @@ def test_power_rejects_non_finite_exponent(alpha):
         power(example2_void(Fraction(1, 3)), alpha)
 
 
+def test_exact_power_over_budget_refused():
+    from cmlat.errors import BudgetExceeded
+
+    f = example2_void(Fraction(1, 3))
+    with pytest.raises(BudgetExceeded):
+        power(f, 10**8)
+    assert power(f, 3).kind == "rational"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    lat = boolean_lattice(2)
+    with pytest.raises(DomainViolation):
+        LatticeFunction(lat, [1.0, bad, 0.5, 0.2])
+    with pytest.raises(DomainViolation):
+        WeightFunction(lat, [0.5, bad, 0.25, 0.25])
+
+
 def test_integer_powers_stay_cm():
     rng = random.Random(17)
     for lat in catalog(max_size=16):

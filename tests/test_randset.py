@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat.errors import (
+    BudgetExceeded,
     DomainViolation,
     FormatError,
     GroundSetMismatch,
@@ -73,6 +74,15 @@ def test_validation():
         singleton_set(Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(InvalidProbabilityVector):
         singleton_set(0, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(InvalidProbabilityVector) as info:
+        RandomSubset(2, [0.25, bad, 0.25, 0.5])
+    assert isinstance(info.value.__cause__, DomainViolation)
+    with pytest.raises(DomainViolation):
+        VoidFunctional(2, [1.0, bad, 0.5, 0.2])
 
 
 def test_uniform_singleton_equals_explicit():
@@ -191,6 +201,37 @@ def test_power_exists_rejects_non_finite_exponent(alpha):
         power_exists(uniform_singleton(3), alpha)
 
 
+def test_exact_powers_over_budget_refused():
+    rng = random.Random(41)
+    x = random_rational_subset(8, rng)
+    with pytest.raises(BudgetExceeded):
+        power_exists(x, 10**7)
+    with pytest.raises(BudgetExceeded):
+        union_iid(x, 10**8)
+    # float laws take no exact powers
+    y = RandomSubset(8, [float(p) for p in x.probs])
+    assert power_exists(y, 1e7).exists
+
+
+def test_rational_law_with_fractional_exponent_gives_floats():
+    verdict = power_exists(uniform_singleton(2), 1.5)
+    assert all(type(q) is float for q in verdict.q_values)
+    assert verdict.q_values[0] == 0.0 and type(verdict.min_q) is float
+
+
+def test_dense_law_smoke_n20():
+    # 256 atoms on a 20-point ground set: parse the document and decide
+    rng = random.Random(43)
+    atoms = rng.sample(range(1, 1 << 20), 256)
+    weights = [rng.uniform(0.5, 1.5) for _ in atoms]
+    total = math.fsum(weights)
+    text = "20\n" + "".join(f"{a} {w / total!r}\n" for a, w in zip(atoms, weights))
+    x = parse_distribution_text(text)
+    assert x.kind == "float" and len(x.probs) == 1 << 20
+    verdict = power_exists(x, 19.5)  # alpha >= n - 1: the power exists
+    assert verdict.exists and len(verdict.q_values) == 1 << 20
+
+
 def test_integer_powers_always_exist():
     rng = random.Random(7)
     for n in (2, 3, 4):
@@ -288,6 +329,18 @@ def test_poisson_void_is_exponential_form():
     vx = void_functional(x).table
     for a, b in zip(vy, vx):
         assert a == pytest.approx(math.exp(lam * (float(b) - 1.0)), rel=1e-12)
+
+
+def test_poisson_huge_rate_on_float_rounded_law():
+    # seven masses of 0.1428571428571428 sum to 1 - 4e-16 in binary64; a large
+    # rate used to turn that rounding into V(empty) < 1 and an AssertionError
+    x = RandomSubset(3, [0.0] + [0.1428571428571428] * 7)
+    assert void_functional(x)(0) < 1.0
+    for lam in (1e5, 1e20):
+        y = poisson_union(x, lam)
+        assert void_functional(y)(0) == 1.0
+    # every atom is hit almost surely: the union is the whole support
+    assert y.probs[0b111] == 1.0 and sum(y.probs) == 1.0
 
 
 def test_poisson_is_infinitely_divisible():
