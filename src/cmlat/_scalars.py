@@ -8,6 +8,7 @@ exact; one float anywhere demotes the whole list.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainViolation
@@ -67,6 +68,8 @@ def check_power_size(count, k, bits):
     Called before any power is taken."""
     size = count * k * bits
     if size > POWER_BIT_BUDGET:
+        # Decimal formats ints beyond the float range too (k may be int(1e308))
         raise BudgetExceeded(
-            f"{count} exact powers with exponent {k} need about {size} bits, over the budget of {POWER_BIT_BUDGET}"
+            f"{count} exact powers with exponent {Decimal(k):.3g} need about {Decimal(size):.3g} bits,"
+            f" over the budget of {POWER_BIT_BUDGET}"
         )

@@ -100,6 +100,17 @@ class SearchFailed(CmlatError):
         self.params = params or {}
 
 
+class InvariantViolation(CmlatError):
+    """An internal invariant failed: a defect of this library, not of the input."""
+
+
+def _ensure(cond, message):
+    """Raise InvariantViolation(message) unless ``cond``; unlike ``assert``,
+    the check also runs under ``python -O``."""
+    if not cond:
+        raise InvariantViolation(message)
+
+
 class SearchBudgetExceeded(CmlatError):
     """An order sweep hit its cap without finding the sought certificate."""
 

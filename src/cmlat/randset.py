@@ -371,12 +371,21 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
 
 
 def union_iid(x: RandomSubset, m: int) -> RandomSubset:
-    """Union of m independent copies: void functional V^m, inverted exactly."""
+    """Union of m independent copies: void functional V^m, inverted exactly.
+
+    A float law's V is taken relative to V(empty), its total mass, which it
+    meets only up to rounding: the m-th power would otherwise turn that
+    rounding into V(empty)^m far from 1 (the same amplification
+    :func:`poisson_union` avoids).
+    """
     if m < 1 or not is_integral(m):
         raise ValueError("m must be a positive integer")
     w = _containment(x)
     v = _Dense(w.values[::-1], w.den)
-    vm = _int_power(v, int(m)) if v.den is not None else _Dense(_float_power(v.values, int(m)))
+    if v.den is not None:
+        vm = _int_power(v, int(m))
+    else:
+        vm = _Dense(_float_power(v.values / v.values[0], int(m)))
     _check_void(vm)
     return _invert(x.n, vm, MASS_TOL)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._scalars import coerce_values
-from .errors import BudgetExceeded, DomainViolation, SearchFailed
+from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
 from .randset import RandomSubset, _per_bit, subset_sums
 
 SCAN_MARGIN = 1e-8
@@ -250,10 +250,10 @@ def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
                 components.append(IntervalComponent(float(j), float(j), True, mj))
     components.sort(key=lambda c: c.lo)
     for a, b in zip(components, components[1:]):
-        assert a.hi < b.lo, "components must be disjoint and sorted"
+        _ensure(a.hi < b.lo, "components must be disjoint and sorted")
     out = IntervalSet(tuple(components), (0.0, float(T)), float(step))
     for j in range(int(math.floor(float(T))) + 1):
-        assert out.covers(j), f"integer {j} must belong to S_X"
+        _ensure(out.covers(j), f"integer {j} must belong to S_X")
     return out, rows
 
 
@@ -295,7 +295,7 @@ def singleton_alternating_sum(p, alpha) -> float:
     singleton-supported X with masses p; strictly negative on the last gap
     (n-2, n-1), zero at the integers up to n-1.
 
-    Internally asserted to equal the simplex form at (p_1, ..., p_{n-1}).
+    Checked internally to equal the simplex form at (p_1, ..., p_{n-1}).
     """
     vals, kind = coerce_values(p)
     n = len(vals)
@@ -316,7 +316,7 @@ def singleton_alternating_sum(p, alpha) -> float:
     if n >= 2:
         check = simplex_form([float(v) for v in vals[:-1]], a)
         scale = max(1.0, math.fsum(abs(t) for t in acc))
-        assert abs(value - check) <= 1e-12 * scale, "identity with the simplex form failed"
+        _ensure(abs(value - check) <= 1e-12 * scale, "identity with the simplex form failed")
     return value
 
 
@@ -364,7 +364,7 @@ class PowerDifferenceReport:
 
 
 def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDifferenceReport:
-    """Evaluate q over the grid; assert |q| small at integers <= n-1 and
+    """Evaluate q over the grid; check |q| small at integers <= n-1 and
     q >= -tol for alpha > n-1; report strictly negative non-integer points."""
     vals, _ = coerce_values(p)
     n = len(vals)
@@ -383,7 +383,7 @@ def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDif
     for j in range(1, n):
         qj = poly(j)
         tol = tol_scale * max(1.0, scale_at(j))
-        assert abs(qj) <= tol, f"q({j}) = {qj} should vanish"
+        _ensure(abs(qj) <= tol, f"q({j}) = {qj} should vanish")
         integer_values.append((j, qj))
     grid_values = []
     negatives = []
@@ -395,7 +395,7 @@ def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDif
         grid_values.append((a, qa))
         tol = tol_scale * max(1.0, scale_at(a))
         if a > n - 1:
-            assert qa >= -tol, f"q({a}) = {qa} should be nonnegative beyond n-1"
+            _ensure(qa >= -tol, f"q({a}) = {qa} should be nonnegative beyond n-1")
         elif qa < -tol and abs(a - round(a)) > 1e-12:
             negatives.append((a, qa))
     return PowerDifferenceReport(n, tuple(integer_values), tuple(grid_values), tuple(negatives), tol_scale)
@@ -424,91 +424,139 @@ class MultiIntervalCertificate:
     def __post_init__(self):
         for s, mass in enumerate(self.size_masses):
             positive = s == 1 or s >= self.n - self.k + 2
-            assert (mass > 0) == positive, f"mass pattern violated at size {s}"
+            _ensure((mass > 0) == positive, f"mass pattern violated at size {s}")
 
 
-def _containment_by_size(n, size_masses):
-    """P{X subset B} as a function of |B| for an exchangeable law."""
-    return [
-        sum(math.comb(b, s) * size_masses[s] for s in range(b + 1)) for b in range(n + 1)
-    ]
+class _SizeClassLaw:
+    """Float evaluation of r_b(alpha) = sum_a (-1)^{b-a} C(b, a) w_a^alpha,
+    b = 2..n, for an exchangeable law that charges singletons: q(A) depends on
+    b = |A| only, and w_a = P{X subset B} for |B| = a.
 
+    Built once per law.  Rows run a = n..1 (decreasing base), so the terms of
+    r_b are the last b rows.
+    """
 
-def _r_polys(n, size_masses):
-    """r_b polynomials, one per subset size b = 2..n (q(A) depends on |A| only)."""
-    w = _containment_by_size(n, size_masses)
-    polys = {}
-    for b in range(2, n + 1):
-        terms = []
-        for a in range(b + 1):
-            if w[a] > 0:
-                terms.append(((-1) ** ((b - a) & 1) * math.comb(b, a), w[a]))
-        polys[b] = ExponentialPolynomial(terms)
-    return polys
+    def __init__(self, n, size_masses):
+        _ensure(size_masses[1] > 0, "the law must charge singletons")
+        charged = [(s, m) for s, m in enumerate(size_masses) if m]
+        self.n = n
+        self.size_masses = size_masses
+        # w_a summed exactly over the charged sizes, then rounded once
+        self.w = [float(sum(math.comb(a, s) * m for s, m in charged if s <= a)) for a in range(n, 0, -1)]
+        self.log_w = np.log(self.w)
+        self.coefs = {
+            b: [(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)]
+            for b in range(2, n + 1)
+        }
+        self.coef_rows = {b: np.array(c) for b, c in self.coefs.items()}
+
+    def value(self, b, alpha: float) -> float:
+        """r_b(alpha): an exactly rounded sum of libm powers."""
+        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b], self.w[self.n - b :]))
+
+    def grid(self, alphas, sizes) -> np.ndarray:
+        """r_b over the grid ``alphas``, one row per b in ``sizes``."""
+        powers = np.exp(np.outer(self.log_w, alphas))
+        rows = np.empty((len(sizes), len(alphas)))
+        for i, b in enumerate(sizes):
+            rows[i] = self.coef_rows[b] @ powers[self.n - b :]
+        return rows
 
 
 def _grid(lo, hi, step, include_hi=False):
     step = min(step, max((hi - lo) / 8, 1e-9))  # at least ~8 points per window
     count = max(1, int(math.ceil((hi - lo) / step)))
-    pts = [lo + i * step for i in range(count)]
+    pts = lo + np.arange(count) * step
     if include_hi:
-        pts.append(hi)
-    return np.array([p for p in pts if lo <= p <= hi + 1e-15], dtype=float)
+        pts = np.append(pts, hi)
+    return pts[(lo <= pts) & (pts <= hi + 1e-15)]
 
 
-def _certify(n, level, size_masses, delta, grid_step, neg_margin, exist_tol, pos_margin):
-    """Check the five structural items for the level-``level`` distribution."""
-    polys = _r_polys(n, size_masses)
-    report = {}
-    ok = True
+# Items 2-5 yield (report entry, whether it holds); _until_failure stops an
+# item at its first failing entry, so a failing law costs only what decides it.
 
-    pattern = all(
-        (size_masses[s] > 0) == (s == 1 or s >= n - level + 2) for s in range(n + 1)
-    )
-    report["item1_pattern_exact"] = pattern
-    ok &= pattern
 
-    mids = []
-    for j in range(0, n - level - 1):
+def _midpoint_negatives(law, level, neg_margin):
+    """Item 2: the least r_b at j + 1/2 is negative, for every j < n - level - 1."""
+    for j in range(0, law.n - level - 1):
         alpha = j + 0.5
-        best_b = min(polys, key=lambda b: polys[b](alpha))
-        val = polys[best_b](alpha)
-        mids.append({"alpha": alpha, "size": best_b, "value": val})
-        ok &= val < -neg_margin
-    report["item2_midpoint_negatives"] = mids
+        vals = {b: law.value(b, alpha) for b in range(2, law.n + 1)}
+        best_b = min(vals, key=vals.get)
+        yield {"alpha": alpha, "size": best_b, "value": vals[best_b]}, vals[best_b] < -neg_margin
 
-    exist = []
-    for j in range(n - level, n - 1):
-        alphas = _grid(float(j), float(j) + delta, grid_step)
-        worst = min(min(float(v) for v in polys[b].grid_values(alphas)) for b in polys)
-        exist.append({"j": j, "delta": delta, "min_q": worst})
-        ok &= worst >= -exist_tol
-    report["item3_existence_windows"] = exist
 
-    wits = []
-    for j in range(n - level, n - 1):
+def _existence_windows(law, level, delta, grid_step, exist_tol):
+    """Item 3: every r_b clears -exist_tol on [j, j + delta], for n - level <= j < n - 1."""
+    for j in range(law.n - level, law.n - 1):
+        worst = float(law.grid(_grid(float(j), float(j) + delta, grid_step), range(2, law.n + 1)).min())
+        yield {"j": j, "delta": delta, "min_q": worst}, worst >= -exist_tol
+
+
+def _interior_negatives(law, level, grid_step, neg_margin):
+    """Item 4: some r_b is negative inside (j, j + 1), for n - level <= j < n - 1."""
+    sizes = range(2, law.n + 1)
+    for j in range(law.n - level, law.n - 1):
         alphas = _grid(float(j) + grid_step, float(j) + 1.0 - grid_step, grid_step, include_hi=True)
-        best = None
-        for b, poly in polys.items():
-            vals = poly.grid_values(alphas)
-            i = int(np.argmin(vals))
-            if best is None or vals[i] < best["value"]:
-                best = {"j": j, "alpha": float(alphas[i]), "size": b, "value": float(vals[i])}
-        wits.append(best)
-        ok &= best is not None and best["value"] < -neg_margin
-    report["item4_interior_negatives"] = wits
+        rows = law.grid(alphas, sizes)
+        b, i = np.unravel_index(np.argmin(rows), rows.shape)  # least size, then least alpha
+        value = float(rows[b, i])
+        yield {"j": j, "alpha": float(alphas[i]), "size": sizes[b], "value": value}, value < -neg_margin
 
-    near = []
-    for j in range(1, n - 1):
+
+def _positivity_near_integers(law, level, delta, grid_step, pos_margin):
+    """Item 5: r_b > pos_margin within delta of every integer 1..n-2, for b >= n - level + 2."""
+    sizes = range(law.n - level + 2, law.n + 1)
+    for j in range(1, law.n - 1):
         lo = max(grid_step, float(j) - delta)
-        alphas = _grid(lo, float(j) + delta, grid_step, include_hi=True)
-        for b in range(n - level + 2, n + 1):
-            worst = float(np.min(polys[b].grid_values(alphas)))
-            near.append({"j": j, "size": b, "min_r": worst})
-            ok &= worst > pos_margin
-    report["item5_positivity_near_integers"] = near
+        mins = law.grid(_grid(lo, float(j) + delta, grid_step, include_hi=True), sizes).min(axis=1)
+        for b, worst in zip(sizes, mins.tolist()):
+            yield {"j": j, "size": b, "min_r": worst}, worst > pos_margin
 
-    return ok, report
+
+def _until_failure(checked):
+    """The entries up to the first that fails, and whether none did."""
+    seen = []
+    for entry, holds in checked:
+        seen.append(entry)
+        if not holds:
+            return seen, False
+    return seen, True
+
+
+def _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, tick=lambda: None):
+    """The first delta of ``ladder`` for which the level-``level`` law passes
+    the five structural items, and the report; (None, None) when none does.
+
+    Items 1, 2 and 4 do not depend on delta and are checked once; the first
+    failing item ends the check.  ``tick`` is called once per delta of the
+    ladder tried, whether or not the fixed items hold.
+    """
+    n = law.n
+    pattern = all(
+        (law.size_masses[s] > 0) == (s == 1 or s >= n - level + 2) for s in range(n + 1)
+    )
+    ok = pattern
+    if ok:
+        mids, ok = _until_failure(_midpoint_negatives(law, level, neg_margin))
+    if ok:
+        wits, ok = _until_failure(_interior_negatives(law, level, grid_step, neg_margin))
+    for delta in ladder:
+        tick()
+        if not ok:
+            continue
+        exist, holds = _until_failure(_existence_windows(law, level, delta, grid_step, exist_tol))
+        if not holds:
+            continue
+        near, holds = _until_failure(_positivity_near_integers(law, level, delta, grid_step, pos_margin))
+        if holds:
+            return delta, {
+                "item1_pattern_exact": pattern,
+                "item2_midpoint_negatives": mids,
+                "item3_existence_windows": exist,
+                "item4_interior_negatives": wits,
+                "item5_positivity_near_integers": near,
+            }
+    return None, None
 
 
 def construct_multi_interval(
@@ -529,26 +577,27 @@ def construct_multi_interval(
     eps at every level is found by halving until the full item set certifies
     on a grid for some ladder delta (largest first: the negativity windows
     shrink as eps does, so eps and delta are searched jointly); the reported
-    delta is the largest value certifying the final distribution.
+    delta is the largest value certifying the final distribution.  Every
+    delta tried counts against CERTIFY_BUDGET.
     """
     if n < 4 or not 2 <= k <= n - 2:
         raise DomainViolation("need n >= 4 and 2 <= k <= n - 2")
     calls = 0
     ladder = DELTA_LADDER[:COARSE_LADDER_LEN]
 
-    def certifies(level, masses):
+    def tick():
         nonlocal calls
-        for cand in ladder:
-            calls += 1
-            if calls > CERTIFY_BUDGET:
-                raise SearchFailed(
-                    "certification budget exhausted",
-                    params={"n": n, "k": k, "calls": calls},
-                )
-            ok, _ = _certify(n, level, masses, cand, grid_step, neg_margin, exist_tol, pos_margin)
-            if ok:
-                return True
-        return False
+        calls += 1
+        if calls > CERTIFY_BUDGET:
+            raise SearchFailed(
+                "certification budget exhausted",
+                params={"n": n, "k": k, "calls": calls},
+            )
+
+    def certifies(level, masses):
+        law = _SizeClassLaw(n, masses)
+        delta, _ = _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, tick)
+        return delta is not None
 
     def make_masses(level, prev, eps):
         if level == 2:
@@ -596,22 +645,16 @@ def construct_multi_interval(
     epsilons = [eps for eps, _ in chain]
     masses = chain[-1][1]
 
-    delta = None
-    final_report = None
-    for cand in DELTA_LADDER:
-        ok, report = _certify(n, k, masses, cand, grid_step, neg_margin, exist_tol, pos_margin)
-        if ok:
-            delta = cand
-            final_report = report
-            break
-    assert delta is not None, "final masses certified during the search"
+    law = _SizeClassLaw(n, masses)
+    delta, report = _certify(law, k, DELTA_LADDER, grid_step, neg_margin, exist_tol, pos_margin)
+    _ensure(delta is not None, "final masses certified during the search")
 
     probs = [Fraction(0)] * (1 << n)
     for mask in range(1 << n):
         probs[mask] = masses[bin(mask).count("1")]
     x = RandomSubset(n, probs)
     total = sum(math.comb(n, s) * masses[s] for s in range(n + 1))
-    assert total == 1
+    _ensure(total == 1, f"size masses sum to {total}, not 1")
     return MultiIntervalCertificate(
         n=n,
         k=k,
@@ -619,5 +662,5 @@ def construct_multi_interval(
         delta=float(delta),
         size_masses=tuple(masses),
         x=x,
-        items=final_report,
+        items=report,
     )

@@ -186,6 +186,17 @@ def test_scan_multi_interval(capsys):
     assert doc["result"]["items"]["item1_pattern_exact"] is True
 
 
+def test_scan_multi_interval_search_failure(capsys):
+    # no eps chain certifies levels 2..4 on [8]; the search reports its work
+    code, doc, _ = run(capsys, "scan", "multi-interval", "--n", "8", "--k", "4")
+    assert code == 1
+    assert doc["result"] == {
+        "certified": False,
+        "reason": "no eps chain certified levels 2..4 within 60 halvings each",
+        "params": {"certify_calls": 7547, "k": 4, "n": 8},
+    }
+
+
 def test_scan_schur(capsys):
     code, doc, _ = run(capsys, "scan", "schur", "--x", "0.4,0.2", "--alpha", "1.5")
     assert code == 0
@@ -338,6 +349,14 @@ def test_exact_powers_over_budget_exit_two(tmp_path, capsys):
         code, doc, err = run(capsys, "randset", *argv)
         assert (code, doc) == (2, None)
         assert "BudgetExceeded" in err
+
+
+def test_budget_message_is_short_for_huge_exponents(capsys):
+    # int(1e308) and the bit count have over 300 digits; both print as %.3g
+    code, doc, err = run(capsys, "randset", "power-exists", "--dist", "uniform-singleton:3", "--alpha", "1e308")
+    assert (code, doc) == (2, None)
+    assert "BudgetExceeded" in err and "exponent 1.00e+308" in err and "about 1.60e+309 bits" in err
+    assert len(err) < 160
 
 
 def test_poisson_huge_rate_exits_zero(tmp_path, capsys):

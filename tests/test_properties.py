@@ -255,8 +255,9 @@ def test_float_law_paths_are_bitwise_the_per_entry_reference(x, alpha, m, lam):
     powered = [pow_scalar(t, alpha) for t in void]
     if abs(powered[0] - 1.0) <= SUM_TOL:
         check_float_inversion(powered, n, lambda: from_void(VoidFunctional(n, powered)))
-    check_float_inversion([pow_scalar(t, m) for t in void], n, lambda: union_iid(x, m))
-    # V(empty) is the float total mass; the Poisson exponent is measured from it
+    # V(empty) is the float total mass; the union's V^m and the Poisson
+    # exponent are measured relative to it
+    check_float_inversion([pow_scalar(t / void[0], m) for t in void], n, lambda: union_iid(x, m))
     poisson = [math.exp(lam * (t - void[0])) for t in void]
     check_float_inversion(poisson, n, lambda: poisson_union(x, lam))
 

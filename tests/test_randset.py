@@ -343,6 +343,19 @@ def test_poisson_huge_rate_on_float_rounded_law():
     assert y.probs[0b111] == 1.0 and sum(y.probs) == 1.0
 
 
+def test_union_large_m_on_float_rounded_law():
+    # the masses sum to 1 - 1.1e-16 in binary64; V(empty)^m used to leave the
+    # 1e-12 band around 1 once m (1 - V(empty)) did, and union_iid refused the law
+    x = RandomSubset(2, [0.0, 2e-6, 0.999995, 3e-6])
+    assert void_functional(x)(0) < 1.0
+    y = union_iid(x, 10**5)
+    assert void_functional(y)(0) == 1.0
+    # element 1 is missed by all m copies with probability 0.999995^m
+    assert y.probs[0b10] == pytest.approx(0.999995 ** 10**5, rel=1e-9)
+    assert y.probs[0b11] == pytest.approx(1 - 0.999995 ** 10**5, rel=1e-9)
+    assert y.probs[0b00] == y.probs[0b01] == 0.0
+
+
 def test_poisson_is_infinitely_divisible():
     rng = random.Random(29)
     x = random_rational_subset(3, rng)
