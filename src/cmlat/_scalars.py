@@ -35,6 +35,18 @@ def coerce_values(values):
     return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals), RATIONAL
 
 
+def check_tolerance(tol):
+    """Return ``tol`` when it is a finite, nonnegative number; a NaN, infinite
+    or negative tolerance would decide verdicts, so it raises DomainViolation."""
+    try:
+        ok = math.isfinite(tol) and tol >= 0
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainViolation(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def is_integral(alpha) -> bool:
     """True when the exponent is a nonnegative integer in disguise."""
     if isinstance(alpha, int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
-from .errors import ChainLattice
+from .errors import ChainLattice, _ensure
 from .lattice import FiniteLattice
 from .randset import RandomSubset, poisson_union, union_iid, void_distance, void_functional
 
@@ -112,7 +112,7 @@ def sup_gap(m: int, cross_check: bool = True) -> float:
         value = t ** (m - 1) - t**m
     if cross_check and m > 1:
         _, direct = _direct_max(lambda t: scalar_gap(t, m), 0.0, 1.0)
-        assert abs(value - direct) <= 1e-9 * max(1.0, value), (m, value, direct)
+        _ensure(abs(value - direct) <= 1e-9 * max(1.0, value), f"sup_gap({m}): {value} != direct {direct}")
     return value
 
 
@@ -137,7 +137,7 @@ def upper_bound_witness(x: RandomSubset, m: int) -> WitnessReport:
     distance = void_distance(xm, y)
     bound = sup_gap(m)
     ok = distance <= bound + 1e-12
-    assert ok, f"accompaniment distance {distance} exceeded the bound {bound}"
+    _ensure(ok, f"accompaniment distance {distance} exceeded the bound {bound}")
     return WitnessReport(m=m, distance=distance, bound=bound, within_bound=ok)
 
 
@@ -159,7 +159,7 @@ class ApproxReport:
     notes: tuple
 
     def __post_init__(self):
-        assert 0.0 < self.m_times_gap < 1.0
+        _ensure(0.0 < self.m_times_gap < 1.0, f"m * sup_gap = {self.m_times_gap} must lie in (0, 1)")
 
 
 def two_point_set(m: int) -> RandomSubset:
@@ -266,7 +266,7 @@ def lattice_square_witness(lat: FiniteLattice, m: int) -> SquareWitnessReport:
     distance = max(abs(float(u) - float(v)) for u, v in zip(gm.values, acc.values))
     bound = sup_gap(m)
     ok = distance <= bound + 1e-12
-    assert ok, f"lattice accompaniment distance {distance} exceeded {bound}"
+    _ensure(ok, f"lattice accompaniment distance {distance} exceeded {bound}")
     slack = float(gm.values[a]) * float(gm.values[d]) - float(gm.values[b]) * float(gm.values[c])
     return SquareWitnessReport(
         m=m,

@@ -5,6 +5,9 @@ key order; grid-shaped results additionally go to CSV via --csv.  Exit codes:
 0 for success or affirmative verdicts, 1 for negative mathematical verdicts
 (for instance "not completely monotone", with the certificate in the JSON),
 2 for usage or input errors.
+
+A handler imports the modules of its command when it runs, so a command
+loads no module it does not use.
 """
 
 from __future__ import annotations
@@ -15,22 +18,16 @@ import json
 import sys
 from fractions import Fraction
 
-from . import approx as approx_mod
-from . import cm as cm_mod
-from . import lattice as lattice_mod
-from . import moments as moments_mod
-from . import randset as randset_mod
-from . import scan as scan_mod
 from .errors import (
     CmlatError,
     CyclicCovers,
     FormatError,
+    InvariantViolation,
     NonCoverEdge,
     NotALattice,
     NotAVoidFunctional,
     SearchFailed,
 )
-from .randset import mask_set
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -50,7 +47,10 @@ def _jsonable(obj):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # an infinite float: strict JSON cannot spell it
+        raise InvariantViolation(f"output not strict JSON: {exc}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -67,8 +67,11 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _mask_doc(mask, n):
-    return {"mask": int(mask), "set": mask_set(int(mask), n)}
+def _mask_docs(masks, n):
+    """A {"mask", "set"} document per subset mask, made as it is consumed."""
+    from .randset import mask_set
+
+    return ({"mask": int(m), "set": mask_set(int(m), n)} for m in masks)
 
 
 def _number(text):
@@ -81,6 +84,8 @@ def _number(text):
 def load_lattice(spec: str):
     """Builtin lattice specs (chain:k, boolean:n, diamond:k, pentagon) or a
     cover-pair file path."""
+    from . import lattice as lattice_mod
+
     kind, _, arg = spec.partition(":")
     if kind == "chain":
         return lattice_mod.chain_lattice(int(arg))
@@ -96,6 +101,8 @@ def load_lattice(spec: str):
 def load_distribution(spec: str):
     """Builtin distribution specs (uniform-singleton:n, singleton:p1,p2,...)
     or a mass-table file path."""
+    from . import randset as randset_mod
+
     kind, _, arg = spec.partition(":")
     if kind == "uniform-singleton":
         return randset_mod.uniform_singleton(int(arg))
@@ -116,13 +123,10 @@ def _function_doc(fn):
 
 
 def _distribution_doc(x):
+    docs = _mask_docs((mask for mask, p in enumerate(x.probs) if p != 0), x.n)
     return {
         "n": x.n,
-        "masses": {
-            str(mask): {"probability": p, **_mask_doc(mask, x.n)}
-            for mask, p in enumerate(x.probs)
-            if p != 0
-        },
+        "masses": {str(d["mask"]): {"probability": x.probs[d["mask"]], **d} for d in docs},
     }
 
 
@@ -130,6 +134,8 @@ def _distribution_doc(x):
 
 
 def cmd_lattice_check(args):
+    from . import lattice as lattice_mod
+
     try:
         lat = load_lattice(args.lattice)
     except (NotALattice, CyclicCovers, NonCoverEdge) as exc:
@@ -154,6 +160,8 @@ def cmd_lattice_check(args):
 
 
 def cmd_lattice_make(args):
+    from . import lattice as lattice_mod
+
     lat = load_lattice(args.kind)
     lattice_mod.write_lattice_file(lattice_mod.materialize(lat), args.out_lattice)
     result = {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}
@@ -162,6 +170,8 @@ def cmd_lattice_make(args):
 
 
 def _load_fn(args, lat):
+    from . import cm as cm_mod
+
     return cm_mod.read_function_file(args.fn, lat)
 
 
@@ -184,6 +194,8 @@ def _cm_verdict_doc(verdict):
 
 
 def cmd_cm_check(args):
+    from . import cm as cm_mod
+
     lat = load_lattice(args.lattice)
     fn = _load_fn(args, lat)
     verdict = cm_mod.is_cm(fn, tol=args.tol)
@@ -193,6 +205,8 @@ def cmd_cm_check(args):
 
 
 def cmd_cm_power(args):
+    from . import cm as cm_mod
+
     lat = load_lattice(args.lattice)
     fn = _load_fn(args, lat)
     try:
@@ -213,6 +227,8 @@ def cmd_cm_power(args):
 
 
 def cmd_cm_extend(args):
+    from . import cm as cm_mod
+
     lat = load_lattice(args.lattice)
     with open(args.fn, "r", encoding="utf-8") as fh:
         sub_values = cm_mod.parse_partial_function_text(fh.read(), lat)
@@ -232,6 +248,9 @@ def cmd_cm_extend(args):
 
 
 def cmd_cm_accompany(args):
+    from . import approx as approx_mod
+    from . import cm as cm_mod
+
     lat = load_lattice(args.lattice)
     fn = _load_fn(args, lat)
     acc = cm_mod.poisson_accompany(fn, args.m)
@@ -253,16 +272,18 @@ def cmd_cm_accompany(args):
 
 
 def cmd_randset_void(args):
+    from . import randset as randset_mod
+
     x = load_distribution(args.dist)
     v = randset_mod.void_functional(x)
-    rows = [(mask, mask_set(mask, x.n), float(v.table[mask])) for mask in range(1 << x.n)]
+    rows = [(d["mask"], d["set"], float(v.table[d["mask"]])) for d in _mask_docs(range(1 << x.n), x.n)]
     _write_csv(args.csv, ("mask", "set", "void_probability"), rows)
     doc = {
         "command": "randset void",
         "config": _config(args, ()),
         "result": {
             "n": x.n,
-            "void": {str(m): {"value": v.table[m], **_mask_doc(m, x.n)} for m in range(1 << x.n)},
+            "void": {str(m): {"value": v.table[m], "mask": m, "set": s} for m, s, _ in rows},
         },
     }
     _emit(doc, args.out)
@@ -270,6 +291,8 @@ def cmd_randset_void(args):
 
 
 def cmd_randset_invert(args):
+    from . import randset as randset_mod
+
     with open(args.void, "r", encoding="utf-8") as fh:
         v = randset_mod.parse_void_text(fh.read())
     try:
@@ -281,7 +304,7 @@ def cmd_randset_invert(args):
             "result": {
                 "valid": False,
                 "reason": str(exc),
-                "witness": _mask_doc(exc.witness, v.n),
+                "witness": next(_mask_docs([exc.witness], v.n)),
                 "mass": exc.mass,
             },
         }
@@ -299,6 +322,10 @@ def cmd_randset_invert(args):
 
 
 def cmd_randset_power_exists(args):
+    from . import randset as randset_mod
+
+    if args.tol is None:
+        args.tol = randset_mod.MASS_TOL
     x = load_distribution(args.dist)
     verdict = randset_mod.power_exists(x, float(args.alpha), tol=args.tol)
     result = {
@@ -308,15 +335,18 @@ def cmd_randset_power_exists(args):
         "boundary": verdict.boundary,
     }
     if verdict.witness is not None:
-        result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.q_values[verdict.witness]}
+        result["witness"] = {**next(_mask_docs([verdict.witness], x.n)), "q": verdict.q_values[verdict.witness]}
     if x.n <= 10:
-        result["q"] = {str(m): {"value": verdict.q_values[m], **_mask_doc(m, x.n)} for m in range(1 << x.n)}
+        docs = _mask_docs(range(1 << x.n), x.n)
+        result["q"] = {str(m): {"value": verdict.q_values[m], **d} for m, d in enumerate(docs)}
     doc = {"command": "randset power-exists", "config": _config(args, ("alpha", "tol")), "result": result}
     _emit(doc, args.out)
     return EXIT_OK if verdict.exists else EXIT_NEGATIVE
 
 
 def cmd_randset_union(args):
+    from . import randset as randset_mod
+
     x = load_distribution(args.dist)
     u = randset_mod.union_iid(x, args.m)
     if args.out_dist:
@@ -331,6 +361,8 @@ def cmd_randset_union(args):
 
 
 def cmd_randset_poisson(args):
+    from . import randset as randset_mod
+
     x = load_distribution(args.dist)
     y = randset_mod.poisson_union(x, args.lam)
     if args.out_dist:
@@ -345,6 +377,8 @@ def cmd_randset_poisson(args):
 
 
 def cmd_randset_dist(args):
+    from . import randset as randset_mod
+
     x = load_distribution(args.dist)
     y = load_distribution(args.dist2)
     doc = {
@@ -357,9 +391,12 @@ def cmd_randset_dist(args):
 
 
 def cmd_scan_s_set(args):
+    from . import scan as scan_mod
+
     x = load_distribution(args.dist)
     result, grid_rows = scan_mod._scan(x, args.T, args.step)
-    rows = [(alpha, min_q, argmin, mask_set(argmin, x.n)) for alpha, min_q, argmin in grid_rows]
+    docs = _mask_docs((argmin for _, _, argmin in grid_rows), x.n)
+    rows = [(alpha, min_q, argmin, d["set"]) for (alpha, min_q, argmin), d in zip(grid_rows, docs)]
     _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), rows)
     doc = {
         "command": "scan s-set",
@@ -383,6 +420,8 @@ def cmd_scan_s_set(args):
 
 
 def cmd_scan_multi_interval(args):
+    from . import scan as scan_mod
+
     try:
         cert = scan_mod.construct_multi_interval(args.n, args.k, grid_step=args.step)
     except SearchFailed as exc:
@@ -409,6 +448,8 @@ def cmd_scan_multi_interval(args):
 
 
 def cmd_scan_schur(args):
+    from . import scan as scan_mod
+
     point = [float(t) for t in args.x.split(",")]
     value = scan_mod.schur_gradient_check(point, args.alpha, h=args.h)
     doc = {
@@ -421,6 +462,8 @@ def cmd_scan_schur(args):
 
 
 def cmd_approx_psi(args):
+    from . import approx as approx_mod
+
     if args.m_list:
         ms = [int(t) for t in args.m_list.split(",")]
     else:
@@ -475,6 +518,10 @@ def cmd_approx_psi(args):
 
 
 def cmd_cmseq_hankel(args):
+    from . import moments as moments_mod
+
+    if args.orders is None:
+        args.orders = moments_mod.ORDER_CAP
     alpha = float(args.alpha)
     if alpha > 0 and float(alpha).is_integer():
         seq = moments_mod.two_atom_sequence(args.x, 2 * args.orders - 1).power(int(alpha))
@@ -562,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(randset, "power-exists", cmd_randset_power_exists, help="does the alpha-th power exist")
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--tol", type=float, default=randset_mod.MASS_TOL)
+    p.add_argument("--tol", type=float, default=None)
     p = add(randset, "union", cmd_randset_union, help="union of m independent copies")
     p.add_argument("--dist", required=True)
     p.add_argument("--m", type=int, required=True)
@@ -600,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(cmseq, "hankel", cmd_cmseq_hankel, help="Hankel positivity of two-atom powers")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--orders", type=int, default=moments_mod.ORDER_CAP)
+    p.add_argument("--orders", type=int, default=None)
 
     return parser
 

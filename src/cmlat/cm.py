@@ -17,7 +17,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral, pow_scalar
+from ._kernel import subset_mobius, subset_sums
+from ._scalars import (
+    FLOAT,
+    RATIONAL,
+    check_power_size,
+    check_tolerance,
+    coerce_values,
+    is_integral,
+    pow_scalar,
+)
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -29,9 +38,9 @@ from .errors import (
     NotCmInput,
     NotDistributive,
     ValueOutOfUnitInterval,
+    _ensure,
 )
 from .lattice import BooleanLattice, FiniteLattice, d_max, is_distributive
-from .randset import subset_mobius, subset_sums
 
 DEFAULT_REL_TOL = 1e-9
 RECONSTRUCT_CLAMP = 1e-12
@@ -210,6 +219,8 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     weight inside [-tol, tol] flags the verdict as indeterminate rather than
     silently rounding (default tol = 1e-9 * max f).
     """
+    if tol is not None:
+        check_tolerance(tol)
     p = mobius_weights(f)
     rational = f.kind == RATIONAL and p.kind == RATIONAL
     if tol is None:
@@ -228,7 +239,7 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
         witness = CmWitness(worst, min_weight, covering, delta(f, covering, worst))
         if rational:
             # the weight IS the iterated difference over the covering tuple
-            assert witness.delta_value == min_weight
+            _ensure(witness.delta_value == min_weight, "weight and iterated difference disagree")
     return CmVerdict(not bad, indeterminate, min_weight, witness, float(tol))
 
 
@@ -285,15 +296,13 @@ def cm_power_threshold_check(f: LatticeFunction, alpha, tol=None) -> CmVerdict:
     """Verdict for f**alpha given c.m. f.
 
     For integral alpha, or alpha >= d_max - 1, the verdict must be positive;
-    anything else indicates an implementation bug and trips an assertion.
+    anything else indicates an implementation bug and raises InvariantViolation.
     """
     if not is_cm(f, tol=tol).is_cm:
         raise NotCmInput("input function is not completely monotone")
     verdict = is_cm(power(f, alpha), tol=tol)
     if is_integral(alpha) or alpha >= d_max(f.lattice) - 1:
-        assert verdict.is_cm, (
-            f"power {alpha} of a c.m. function must stay c.m. at or above the threshold"
-        )
+        _ensure(verdict.is_cm, f"power {alpha} of a c.m. function must stay c.m. at or above the threshold")
     return verdict
 
 
@@ -320,7 +329,7 @@ def sharpness_witness(L: FiniteLattice) -> LatticeFunction:
         y = L.join_many([x, *others]) if others else x
         weights[y] += Fraction(1, d)
     joins = {L.join_many([x, *subset]) for r in range(d + 1) for subset in itertools.combinations(covs, r)}
-    assert len(joins) == 1 << d, "subset joins must be distinct on a distributive lattice"
+    _ensure(len(joins) == 1 << d, "subset joins must be distinct on a distributive lattice")
     return reconstruct(WeightFunction(L, weights))
 
 
@@ -361,9 +370,10 @@ def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
     g = reconstruct(WeightFunction(L, weights))
     for a in sub:
         if kind == RATIONAL:
-            assert g.values[a] == fvals[a]
+            same = g.values[a] == fvals[a]
         else:
-            assert abs(g.values[a] - fvals[a]) <= 1e-12 * max(1.0, abs(fvals[a]))
+            same = abs(g.values[a] - fvals[a]) <= 1e-12 * max(1.0, abs(fvals[a]))
+        _ensure(same, f"extension changed the value at {a}: {g.values[a]} != {fvals[a]}")
     return g
 
 

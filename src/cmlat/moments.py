@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
-from .errors import DomainViolation, InsufficientLength, SearchBudgetExceeded
+from .errors import DomainViolation, InsufficientLength, SearchBudgetExceeded, _ensure
 
 PSD_OK_REL = 1e-10
 PSD_BAD_REL = 1e-8
@@ -47,9 +47,10 @@ class MomentSequence:
             for k, v in enumerate(vals):
                 want = sum(w * pow_scalar(x, k) for w, x in atoms)
                 if isinstance(v, float) or isinstance(want, float):
-                    assert abs(float(v) - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
+                    same = abs(float(v) - float(want)) <= 1e-12 * max(1.0, abs(float(want)))
                 else:
-                    assert v == want, f"moment {k} disagrees with the atoms"
+                    same = v == want
+                _ensure(same, f"moment {k} disagrees with the atoms")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "atoms", atoms)
 
@@ -162,7 +163,7 @@ def hankel_psd_check(seq: MomentSequence, order: int) -> HankelVerdict:
         if float(v @ h @ v) < 0:
             vector = tuple(float(t) for t in v)
         if violated:
-            assert vector is not None, "certificate vector must witness the violation"
+            _ensure(vector is not None, "certificate vector must witness the violation")
     return HankelVerdict(
         psd=psd,
         indeterminate=not psd and not violated,

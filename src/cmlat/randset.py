@@ -7,24 +7,13 @@ recovers the distribution from V.  The candidate mass of the alpha-th power
 is q(A) = sum over B inside A of (-1)^{|A|-|B|} P{X subset B}^alpha; the power
 exists exactly when every q(A) clears the tolerance.
 
-:func:`subset_sums` and :func:`subset_mobius` are the package's only subset
-transform (Yates' per-bit pass); `cm` and `scan` call them too.
-
-A table over the 2^n masks stays one dense array from the parsed document to
-the verdict, in one of two forms:
-
-- float laws: a float64 array;
-- exact laws: integer numerators over their least common denominator D, as
-  int64 while every partial sum of a transform provably fits (largest
-  magnitude times the table length below 2^63), as Python ints in an object
-  array otherwise.  An integral power is num**k over D**k, and verdicts
-  compare the integers.
-
-Python scalars (floats, Fractions) are built only at the API boundary: the
-``probs``, ``table`` and ``q_values`` tuples.  The pointwise float power and
-exponential call libm once per entry (`math.pow`, `math.exp`) rather than
-numpy's vectorised versions: numpy's SIMD pow can differ from libm in the
-last place, and a verdict must not depend on how numpy was built.
+Tables over the 2^n masks are dense arrays, float64 or integer numerators
+over one denominator, and every transform is one pass of the subset kernel
+(:mod:`cmlat._kernel`, whose :func:`subset_sums` and :func:`subset_mobius`
+this module re-exports).  Python scalars (floats, Fractions) are built only at
+the API boundary: the ``probs``, ``table`` and ``q_values`` tuples.  The
+exponential of :func:`poisson_union` calls libm once per entry
+(`math.exp`), as the kernel's float power does.
 """
 
 from __future__ import annotations
@@ -32,12 +21,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
-from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral
+from ._kernel import (
+    _Dense,
+    _dense_of,
+    _float_power,
+    _floats,
+    _int_dtype,
+    _int_power,
+    _numerators,
+    _to_scalar,
+    _to_scalars,
+    _transform,
+    subset_mobius,
+    subset_sums,
+)
+from ._scalars import FLOAT, RATIONAL, check_tolerance, coerce_values, is_integral
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -51,119 +52,6 @@ from .errors import (
 GROUND_CAP = 20
 MASS_TOL = 1e-9
 SUM_TOL = 1e-12
-_INT64_LIMIT = 1 << 63
-
-
-def _per_bit(a, ground_n, op):
-    """Yates' pass, in place, over the last axis of ``a`` (length 2^ground_n);
-    leading axes are a batch of independent tables.  ``a`` must be
-    C-contiguous: the passes write through reshaped views."""
-    for i in range(ground_n):
-        v = a.reshape(a.shape[:-1] + (-1, 2, 1 << i))  # v[..., 1, :] holds the masks with bit i set
-        op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
-    return a
-
-
-class _Dense(NamedTuple):
-    """A table over all masks: float64 ``values`` (``den`` is None), or
-    integer numerators over the common denominator ``den``."""
-
-    values: np.ndarray
-    den: int | None = None
-
-
-def _numerators(fractions):
-    """Exact values as integer numerators over their least common denominator."""
-    den = math.lcm(*{v.denominator for v in fractions})
-    return [v.numerator * (den // v.denominator) for v in fractions], den
-
-
-def _int_dtype(nums, size):
-    """int64 when a subset transform over ``size`` integers no larger in
-    magnitude than those of ``nums`` cannot overflow (every partial sum is at
-    most size times the largest), else object, for Python ints."""
-    return np.int64 if max(map(abs, nums), default=0) * size < _INT64_LIMIT else object
-
-
-def _magnitude(a):
-    return max(int(a.max()), -int(a.min())) if a.size else 0
-
-
-def _dense_of(vals, kind) -> _Dense:
-    """Dense form of a tuple from :func:`coerce_values`."""
-    if kind == FLOAT:
-        return _Dense(np.array(vals, dtype=float))
-    nums, den = _numerators(vals)
-    return _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
-
-
-def _transform(a, ground_n, op):
-    """One subset transform of a dense array, in a C-contiguous copy.
-
-    Int64 tables cannot overflow: :func:`_int_dtype` admits only tables whose
-    every partial sum fits, and a partial Mobius sum of D**k times a law's
-    containment table raised to k is D**k times a probability of the k-fold
-    union's law, so it lies in [0, D**k], which :func:`_int_power` bounds.
-    """
-    return _per_bit(a.copy(order="C"), ground_n, op)
-
-
-def _to_scalar(d: _Dense, v):
-    """One entry of ``d`` as a Python float or Fraction."""
-    return float(v) if d.den is None else Fraction(int(v), d.den)
-
-
-def _to_scalars(d: _Dense) -> list:
-    """Every entry of ``d`` as Python floats or Fractions."""
-    if d.den is None:
-        return d.values.tolist()
-    den, zero = d.den, Fraction(0)
-    return [Fraction(v, den) if v else zero for v in d.values.tolist()]
-
-
-def _floats(d: _Dense) -> np.ndarray:
-    """``d`` as float64, each entry the correctly rounded value of num/den
-    (as ``float(Fraction)`` rounds it)."""
-    if d.den is None:
-        return d.values
-    if d.values.dtype == np.int64 and d.den < 1 << 53 and _magnitude(d.values) < 1 << 53:
-        return d.values / d.den  # both operands exact in binary64: one rounding
-    return np.array([v / d.den for v in d.values.tolist()])  # Python int division rounds once
-
-
-def _float_power(values, alpha) -> np.ndarray:
-    """values**alpha entry by entry through libm (0**0 = 1)."""
-    # + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0 as 0**k is
-    return np.fromiter(map(math.pow, (values + 0.0).tolist(), repeat(float(alpha))), float, len(values))
-
-
-def _int_power(d: _Dense, k) -> _Dense:
-    """Exact d**k as numerators over den**k; int64 while the powers fit."""
-    values = d.values
-    check_power_size(len(values), k, d.den.bit_length())
-    if values.dtype == np.int64 and k * _magnitude(values).bit_length() < 63:
-        return _Dense(values**k, d.den**k)
-    return _Dense(values.astype(object) ** k, d.den**k)
-
-
-def _list_transform(values, ground_n, op):
-    vals, kind = coerce_values(values)
-    d = _dense_of(vals, kind)
-    return _to_scalars(_Dense(_transform(d.values, ground_n, op), d.den))
-
-
-def subset_sums(values, ground_n):
-    """Zeta transform: out[B] = sum of values[A] over A inside B.
-
-    List in, list out: floats when any entry is a float, else Fractions
-    (computed on integer numerators over a common denominator).
-    """
-    return _list_transform(values, ground_n, np.add)
-
-
-def subset_mobius(values, ground_n):
-    """Inverse of :func:`subset_sums`."""
-    return _list_transform(values, ground_n, np.subtract)
 
 
 def mask_set(mask, n) -> str:
@@ -320,7 +208,7 @@ def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
     -tol (exact negativity in rational mode); float masses in (-tol, 0) are
     clamped to zero.
     """
-    return _invert(v.n, v._dense, tol)
+    return _invert(v.n, v._dense, check_tolerance(tol))
 
 
 def _invert(n, v: _Dense, tol) -> RandomSubset:
@@ -349,6 +237,7 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
         raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    check_tolerance(tol)
     w = _containment(x)
     exact = w.den is not None and is_integral(alpha)
     wa = _int_power(w, int(alpha)) if exact else _Dense(_float_power(_floats(w), alpha))

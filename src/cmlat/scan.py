@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._kernel import _per_bit, subset_sums
 from ._scalars import coerce_values
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
-from .randset import RandomSubset, _per_bit, subset_sums
+from .randset import RandomSubset
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -328,8 +329,12 @@ def schur_gradient_check(x, alpha, h=None) -> float:
     n = len(vals)
     if n < 2:
         raise DomainViolation("need at least two coordinates")
+    # coordinates in (0, 1) first: a NaN passes no comparison, and fsum of
+    # huge finite coordinates overflows
+    if not all(0 < v < 1 for v in vals):
+        raise DomainViolation("point must lie in the open simplex")
     s = math.fsum(vals)
-    if min(vals) <= 0 or s >= 1:
+    if s >= 1:
         raise DomainViolation("point must lie in the open simplex")
     if vals[0] == vals[1]:
         raise DomainViolation("condition requires x_1 != x_2")

@@ -456,3 +456,45 @@ def test_non_finite_rate_and_hankel_exponent_exit_two(capsys, value):
     code, doc, err = run(capsys, "cmseq", "hankel", "--x", "0.5", "--alpha", value)
     assert (code, doc) == (2, None)
     assert "DomainViolation" in err
+
+
+def test_schur_with_huge_coordinates_exits_two(capsys):
+    code, doc, err = run(capsys, "scan", "schur", "--x", "1e308,1e308,1", "--alpha", "2")
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err and "OverflowError" not in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-0.5"])
+def test_non_finite_or_negative_tolerance_exits_two(capsys, tmp_path, tol):
+    code, doc, err = run(capsys, "randset", "power-exists", "--dist", "uniform-singleton:3",
+                         "--alpha", "1.5", "--tol", tol)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err
+    lat = chain_lattice(3)
+    fn = tmp_path / "f.txt"
+    write_function_file(LatticeFunction(lat, [1.0, 0.2, 0.9]), fn)
+    write_lattice_file(lat, tmp_path / "c3.lat")
+    code, doc, err = run(capsys, "cm", "check", "--lattice", str(tmp_path / "c3.lat"), "--fn", str(fn), "--tol", tol)
+    assert (code, doc) == (2, None)
+    assert "DomainViolation" in err
+
+
+def test_default_tolerance_and_orders_are_echoed(capsys):
+    _, doc, _ = run(capsys, "randset", "power-exists", "--dist", "uniform-singleton:3", "--alpha", "1.5")
+    assert doc["config"]["tol"] == randset.MASS_TOL
+    _, doc, _ = run(capsys, "cmseq", "hankel", "--x", "0.5", "--alpha", "2")
+    assert doc["config"]["orders"] == doc["result"]["orders_checked"] == 64
+
+
+def test_infinite_output_is_a_typed_error(monkeypatch, capsys):
+    monkeypatch.setattr(randset, "void_distance", lambda x, y: math.inf)
+    code, doc, err = run(capsys, "randset", "dist", "--dist", "uniform-singleton:2", "--dist2", "uniform-singleton:2")
+    assert (code, doc) == (2, None)
+    assert "InvariantViolation" in err and "Infinity" not in err
+
+
+def test_nan_output_keeps_its_string_spelling(monkeypatch, capsys):
+    monkeypatch.setattr(randset, "void_distance", lambda x, y: math.nan)
+    code, doc, _ = run(capsys, "randset", "dist", "--dist", "uniform-singleton:2", "--dist2", "uniform-singleton:2")
+    assert code == 0
+    assert doc["result"]["void_distance"] == "nan"

@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlat import cm as cm_module
 from cmlat.cm import (
     CmVerdict,
     LatticeFunction,
@@ -511,3 +515,38 @@ def test_function_format_errors():
     assert exc.value.line == 3
     with pytest.raises(FormatError):
         parse_function_text("lattice b2\n0 1\n", B2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -0.5])
+def test_is_cm_rejects_non_finite_or_negative_tolerance(tol):
+    # weight -0.7 at the middle element: a NaN tolerance once passed it as c.m.
+    f = LatticeFunction(chain_lattice(3), [1.0, 0.2, 0.9])
+    with pytest.raises(DomainViolation):
+        is_cm(f, tol=tol)
+    assert not is_cm(f).is_cm
+
+
+def test_threshold_check_still_raises_under_python_O():
+    # the theorem check is an InvariantViolation, not an assert that -O strips
+    script = """
+import sys
+from fractions import Fraction
+from cmlat import cm
+from cmlat.errors import InvariantViolation
+from cmlat.lattice import chain_lattice
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+f = cm.LatticeFunction(chain_lattice(3), [1, Fraction(1, 2), Fraction(1, 4)])
+cm.power = lambda f, alpha: cm.LatticeFunction(f.lattice, [1, Fraction(1, 4), Fraction(1, 2)])
+try:
+    cm.cm_power_threshold_check(f, 2)
+except InvariantViolation:
+    print("raised")
+else:
+    print("returned")
+"""
+    src = os.path.dirname(os.path.dirname(cm_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.stdout.strip() == "raised", proc.stderr

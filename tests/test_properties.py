@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmlat._kernel import _per_bit
 from cmlat._scalars import pow_scalar
 from cmlat.cm import LatticeFunction, delta, is_cm, mobius_weights, reconstruct
 from cmlat.errors import InvalidProbabilityVector, NotAVoidFunctional
@@ -17,7 +18,6 @@ from cmlat.randset import (
     SUM_TOL,
     RandomSubset,
     VoidFunctional,
-    _per_bit,
     from_void,
     poisson_union,
     power_exists,

@@ -451,3 +451,12 @@ def test_distribution_format_errors():
         parse_distribution_text("2\n0 0.5\n")  # masses do not sum to 1
     with pytest.raises(FormatError):
         parse_distribution_text("")
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-9])
+def test_tolerance_must_be_finite_and_nonnegative(tol):
+    # an infinite tolerance once let the 1.5-th power of the uniform singleton exist
+    with pytest.raises(DomainViolation):
+        power_exists(uniform_singleton(3), 1.5, tol=tol)
+    with pytest.raises(DomainViolation):
+        from_void(void_functional(uniform_singleton(3)), tol=tol)

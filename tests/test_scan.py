@@ -336,6 +336,13 @@ def test_schur_check_domain_errors():
         schur_gradient_check([0.8, 0.4], 1.5)  # outside the simplex
 
 
+@pytest.mark.parametrize("point", [[1e308, 1e308, 1], [0.2, float("nan"), 0.1], [0.2, 0.1, float("inf")]])
+def test_schur_check_rejects_coordinates_outside_unit_interval(point):
+    # [1e308, 1e308, 1] once overflowed inside fsum before the domain check
+    with pytest.raises(DomainViolation):
+        schur_gradient_check(point, 2.5)
+
+
 def test_majorization_consequence():
     assert simplex_form([0.4, 0.2], 1.5) < simplex_form([0.5, 0.1], 1.5)
 
