@@ -1,7 +1,10 @@
 """Command-line surface: lattice, cm, randset, scan, approx, cmseq.
 
 Every command emits one JSON document (stdout or --out) with deterministic
-key order; grid-shaped results additionally go to CSV via --csv.  Exit codes:
+key order: ``{"command", "config", "result"}``, where ``config`` echoes the
+options its subcommand declares at registration, defaults filled in.  A
+handler returns its result and exit code; ``main`` wraps and emits them.
+Grid-shaped results additionally go to CSV via --csv.  Exit codes:
 0 for success or affirmative verdicts, 1 for negative mathematical verdicts
 (for instance "not completely monotone", with the certificate in the JSON),
 2 for usage or input errors.
@@ -111,10 +114,6 @@ def load_distribution(spec: str):
     return randset_mod.read_distribution_file(spec)
 
 
-def _config(args, fields):
-    return {name.replace("_", "-"): getattr(args, name) for name in fields}
-
-
 def _function_doc(fn):
     return {
         "values": [fn.values[x] for x in fn.lattice.elements],
@@ -139,13 +138,7 @@ def cmd_lattice_check(args):
     try:
         lat = load_lattice(args.lattice)
     except (NotALattice, CyclicCovers, NonCoverEdge) as exc:
-        doc = {
-            "command": "lattice check",
-            "config": _config(args, ()),
-            "result": {"valid": False, "reason": str(exc), "kind": type(exc).__name__},
-        }
-        _emit(doc, args.out)
-        return EXIT_NEGATIVE
+        return {"valid": False, "reason": str(exc), "kind": type(exc).__name__}, EXIT_NEGATIVE
     result = {
         "valid": True,
         "n": lat.n,
@@ -155,8 +148,7 @@ def cmd_lattice_check(args):
         "distributive": lattice_mod.is_distributive(lat),
         "cover_pairs": sorted(lat.cover_pairs()),
     }
-    _emit({"command": "lattice check", "config": _config(args, ()), "result": result}, args.out)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
 def cmd_lattice_make(args):
@@ -164,9 +156,7 @@ def cmd_lattice_make(args):
 
     lat = load_lattice(args.kind)
     lattice_mod.write_lattice_file(lattice_mod.materialize(lat), args.out_lattice)
-    result = {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}
-    _emit({"command": "lattice make", "config": _config(args, ()), "result": result}, args.out)
-    return EXIT_OK
+    return {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}, EXIT_OK
 
 
 def _load_fn(args, lat):
@@ -199,9 +189,7 @@ def cmd_cm_check(args):
     lat = load_lattice(args.lattice)
     fn = _load_fn(args, lat)
     verdict = cm_mod.is_cm(fn, tol=args.tol)
-    doc = {"command": "cm check", "config": _config(args, ("tol",)), "result": _cm_verdict_doc(verdict)}
-    _emit(doc, args.out)
-    return EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
+    return _cm_verdict_doc(verdict), EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
 
 
 def cmd_cm_power(args):
@@ -217,13 +205,8 @@ def cmd_cm_power(args):
     verdict = cm_mod.is_cm(powered, tol=args.tol)
     if args.out_fn:
         cm_mod.write_function_file(powered, args.out_fn, args.lattice)
-    doc = {
-        "command": "cm power",
-        "config": _config(args, ("alpha", "tol")),
-        "result": {"power": _function_doc(powered), "verdict": _cm_verdict_doc(verdict)},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
+    result = {"power": _function_doc(powered), "verdict": _cm_verdict_doc(verdict)}
+    return result, EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
 
 
 def cmd_cm_extend(args):
@@ -235,16 +218,7 @@ def cmd_cm_extend(args):
     extended = cm_mod.extend_cm(lat, sub_values)
     if args.out_fn:
         cm_mod.write_function_file(extended, args.out_fn, args.lattice)
-    doc = {
-        "command": "cm extend",
-        "config": _config(args, ()),
-        "result": {
-            "subset": sorted(sub_values),
-            "extension": _function_doc(extended),
-        },
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"subset": sorted(sub_values), "extension": _function_doc(extended)}, EXIT_OK
 
 
 def cmd_cm_accompany(args):
@@ -258,17 +232,12 @@ def cmd_cm_accompany(args):
         cm_mod.write_function_file(acc, args.out_fn, args.lattice)
     # |f - acc| = |u^m - e^{m(u-1)}| at u = f^{1/m}, so the scalar bound applies
     distance = max(abs(float(a) - float(b)) for a, b in zip(fn.values, acc.values))
-    doc = {
-        "command": "cm accompany",
-        "config": _config(args, ("m",)),
-        "result": {
-            "accompaniment": _function_doc(acc),
-            "distance_from_input": distance,
-            "scalar_bound": approx_mod.sup_gap(args.m),
-        },
+    result = {
+        "accompaniment": _function_doc(acc),
+        "distance_from_input": distance,
+        "scalar_bound": approx_mod.sup_gap(args.m),
     }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
 def cmd_randset_void(args):
@@ -278,16 +247,8 @@ def cmd_randset_void(args):
     v = randset_mod.void_functional(x)
     rows = [(d["mask"], d["set"], float(v.table[d["mask"]])) for d in _mask_docs(range(1 << x.n), x.n)]
     _write_csv(args.csv, ("mask", "set", "void_probability"), rows)
-    doc = {
-        "command": "randset void",
-        "config": _config(args, ()),
-        "result": {
-            "n": x.n,
-            "void": {str(m): {"value": v.table[m], "mask": m, "set": s} for m, s, _ in rows},
-        },
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    void = {str(m): {"value": v.table[m], "mask": m, "set": s} for m, s, _ in rows}
+    return {"n": x.n, "void": void}, EXIT_OK
 
 
 def cmd_randset_invert(args):
@@ -298,27 +259,11 @@ def cmd_randset_invert(args):
     try:
         x = randset_mod.from_void(v)
     except NotAVoidFunctional as exc:
-        doc = {
-            "command": "randset invert",
-            "config": _config(args, ()),
-            "result": {
-                "valid": False,
-                "reason": str(exc),
-                "witness": next(_mask_docs([exc.witness], v.n)),
-                "mass": exc.mass,
-            },
-        }
-        _emit(doc, args.out)
-        return EXIT_NEGATIVE
+        witness = next(_mask_docs([exc.witness], v.n))
+        return {"valid": False, "reason": str(exc), "witness": witness, "mass": exc.mass}, EXIT_NEGATIVE
     if args.out_dist:
         randset_mod.write_distribution_file(x, args.out_dist)
-    doc = {
-        "command": "randset invert",
-        "config": _config(args, ()),
-        "result": {"valid": True, "distribution": _distribution_doc(x)},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"valid": True, "distribution": _distribution_doc(x)}, EXIT_OK
 
 
 def cmd_randset_power_exists(args):
@@ -339,9 +284,7 @@ def cmd_randset_power_exists(args):
     if x.n <= 10:
         docs = _mask_docs(range(1 << x.n), x.n)
         result["q"] = {str(m): {"value": verdict.q_values[m], **d} for m, d in enumerate(docs)}
-    doc = {"command": "randset power-exists", "config": _config(args, ("alpha", "tol")), "result": result}
-    _emit(doc, args.out)
-    return EXIT_OK if verdict.exists else EXIT_NEGATIVE
+    return result, EXIT_OK if verdict.exists else EXIT_NEGATIVE
 
 
 def cmd_randset_union(args):
@@ -351,13 +294,7 @@ def cmd_randset_union(args):
     u = randset_mod.union_iid(x, args.m)
     if args.out_dist:
         randset_mod.write_distribution_file(u, args.out_dist)
-    doc = {
-        "command": "randset union",
-        "config": _config(args, ("m",)),
-        "result": {"distribution": _distribution_doc(u)},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"distribution": _distribution_doc(u)}, EXIT_OK
 
 
 def cmd_randset_poisson(args):
@@ -367,13 +304,7 @@ def cmd_randset_poisson(args):
     y = randset_mod.poisson_union(x, args.lam)
     if args.out_dist:
         randset_mod.write_distribution_file(y, args.out_dist)
-    doc = {
-        "command": "randset poisson",
-        "config": _config(args, ("lam",)),
-        "result": {"distribution": _distribution_doc(y)},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"distribution": _distribution_doc(y)}, EXIT_OK
 
 
 def cmd_randset_dist(args):
@@ -381,13 +312,7 @@ def cmd_randset_dist(args):
 
     x = load_distribution(args.dist)
     y = load_distribution(args.dist2)
-    doc = {
-        "command": "randset dist",
-        "config": _config(args, ()),
-        "result": {"void_distance": randset_mod.void_distance(x, y)},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return {"void_distance": randset_mod.void_distance(x, y)}, EXIT_OK
 
 
 def cmd_scan_s_set(args):
@@ -398,25 +323,10 @@ def cmd_scan_s_set(args):
     docs = _mask_docs((argmin for _, _, argmin in grid_rows), x.n)
     rows = [(alpha, min_q, argmin, d["set"]) for (alpha, min_q, argmin), d in zip(grid_rows, docs)]
     _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), rows)
-    doc = {
-        "command": "scan s-set",
-        "config": _config(args, ("T", "step")),
-        "result": {
-            "components": [
-                {
-                    "lo": c.lo,
-                    "hi": c.hi,
-                    "point": c.is_point,
-                    "margin": c.margin,
-                }
-                for c in result.components
-            ],
-            "domain": list(result.scan_domain),
-            "step": result.grid_step,
-        },
-    }
-    _emit(doc, args.out)
-    return EXIT_OK
+    components = [
+        {"lo": c.lo, "hi": c.hi, "point": c.is_point, "margin": c.margin} for c in result.components
+    ]
+    return {"components": components, "domain": list(result.scan_domain), "step": result.grid_step}, EXIT_OK
 
 
 def cmd_scan_multi_interval(args):
@@ -425,26 +335,15 @@ def cmd_scan_multi_interval(args):
     try:
         cert = scan_mod.construct_multi_interval(args.n, args.k, grid_step=args.step)
     except SearchFailed as exc:
-        doc = {
-            "command": "scan multi-interval",
-            "config": _config(args, ("n", "k", "step")),
-            "result": {"certified": False, "reason": str(exc), "params": exc.params},
-        }
-        _emit(doc, args.out)
-        return EXIT_NEGATIVE
-    doc = {
-        "command": "scan multi-interval",
-        "config": _config(args, ("n", "k", "step")),
-        "result": {
-            "certified": True,
-            "epsilons": [str(e) for e in cert.epsilons],
-            "delta": cert.delta,
-            "size_masses": [str(m) for m in cert.size_masses],
-            "items": cert.items,
-        },
+        return {"certified": False, "reason": str(exc), "params": exc.params}, EXIT_NEGATIVE
+    result = {
+        "certified": True,
+        "epsilons": [str(e) for e in cert.epsilons],
+        "delta": cert.delta,
+        "size_masses": [str(m) for m in cert.size_masses],
+        "items": cert.items,
     }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
 def cmd_scan_schur(args):
@@ -452,13 +351,7 @@ def cmd_scan_schur(args):
 
     point = [float(t) for t in args.x.split(",")]
     value = scan_mod.schur_gradient_check(point, args.alpha, h=args.h)
-    doc = {
-        "command": "scan schur",
-        "config": _config(args, ("alpha", "h")),
-        "result": {"x": point, "product": value, "positive": value > 0},
-    }
-    _emit(doc, args.out)
-    return EXIT_OK if value > 0 else EXIT_NEGATIVE
+    return {"x": point, "product": value, "positive": value > 0}, EXIT_OK if value > 0 else EXIT_NEGATIVE
 
 
 def cmd_approx_psi(args):
@@ -490,31 +383,26 @@ def cmd_approx_psi(args):
         ("m", "t_m", "sup_gap", "m_times_gap", "necessary_slack", "separation", "separation_bound", "separation_holds"),
         rows,
     )
-    doc = {
-        "command": "approx psi",
-        "config": _config(args, ("m", "m_list")),
-        "result": {
-            "lower_constant": approx_mod.LOWER_BOUND_CONSTANT,
-            "limit_m_times_gap": approx_mod.LIMIT_M_TIMES_GAP,
-            "m_threshold": reports[-1].m_threshold,
-            "reports": [
-                {
-                    "m": r.m,
-                    "t_m": r.t_m,
-                    "sup_gap": r.sup_gap,
-                    "m_times_gap": r.m_times_gap,
-                    "necessary_condition_slack": r.necessary_condition_slack,
-                    "separation": r.separation,
-                    "separation_bound": r.separation_bound,
-                    "separation_holds": r.separation_holds,
-                    "notes": list(r.notes),
-                }
-                for r in reports
-            ],
-        },
+    result = {
+        "lower_constant": approx_mod.LOWER_BOUND_CONSTANT,
+        "limit_m_times_gap": approx_mod.LIMIT_M_TIMES_GAP,
+        "m_threshold": reports[-1].m_threshold,
+        "reports": [
+            {
+                "m": r.m,
+                "t_m": r.t_m,
+                "sup_gap": r.sup_gap,
+                "m_times_gap": r.m_times_gap,
+                "necessary_condition_slack": r.necessary_condition_slack,
+                "separation": r.separation,
+                "separation_bound": r.separation_bound,
+                "separation_holds": r.separation_holds,
+                "notes": list(r.notes),
+            }
+            for r in reports
+        ],
     }
-    _emit(doc, args.out)
-    return EXIT_OK
+    return result, EXIT_OK
 
 
 def cmd_cmseq_hankel(args):
@@ -527,32 +415,22 @@ def cmd_cmseq_hankel(args):
         seq = moments_mod.two_atom_sequence(args.x, 2 * args.orders - 1).power(int(alpha))
         verdicts = [moments_mod.hankel_psd_check(seq, n) for n in range(2, args.orders + 1)]
         all_psd = all(v.psd for v in verdicts)
-        doc = {
-            "command": "cmseq hankel",
-            "config": _config(args, ("x", "alpha", "orders")),
-            "result": {
-                "completely_monotone_at_truncation": all_psd,
-                "orders_checked": args.orders,
-                "min_eigenvalues": [v.min_eigenvalue for v in verdicts],
-            },
+        result = {
+            "completely_monotone_at_truncation": all_psd,
+            "orders_checked": args.orders,
+            "min_eigenvalues": [v.min_eigenvalue for v in verdicts],
         }
-        _emit(doc, args.out)
-        return EXIT_OK if all_psd else EXIT_NEGATIVE
+        return result, EXIT_OK if all_psd else EXIT_NEGATIVE
     cert = moments_mod.two_atom_power_counterexample(args.x, alpha, order_cap=args.orders)
-    doc = {
-        "command": "cmseq hankel",
-        "config": _config(args, ("x", "alpha", "orders")),
-        "result": {
-            "completely_monotone_at_truncation": False,
-            "failing_order": cert.order,
-            "min_eigenvalue": cert.min_eigenvalue,
-            "trace": cert.trace,
-            "decisive": cert.decisive,
-            "vector": list(cert.vector),
-        },
+    result = {
+        "completely_monotone_at_truncation": False,
+        "failing_order": cert.order,
+        "min_eigenvalue": cert.min_eigenvalue,
+        "trace": cert.trace,
+        "decisive": cert.decisive,
+        "vector": list(cert.vector),
     }
-    _emit(doc, args.out)
-    return EXIT_NEGATIVE
+    return result, EXIT_NEGATIVE
 
 
 # --- parser -----------------------------------------------------------------
@@ -565,9 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add(group_parser, name, handler, **kwargs):
+    def add(group_parser, name, handler, config=(), **kwargs):
+        """Register a subcommand; ``config`` names the options its document echoes."""
         p = group_parser.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, config=config)
         p.add_argument("--out", help="write the JSON document here instead of stdout")
         return p
 
@@ -579,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-lattice", required=True)
 
     cm = parser_group(sub, "cm")
-    p = add(cm, "check", cmd_cm_check, help="complete-monotonicity verdict")
+    p = add(cm, "check", cmd_cm_check, help="complete-monotonicity verdict", config=("tol",))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--tol", type=float, default=None)
-    p = add(cm, "power", cmd_cm_power, help="pointwise power plus verdict")
+    p = add(cm, "power", cmd_cm_power, help="pointwise power plus verdict", config=("alpha", "tol"))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--alpha", required=True)
@@ -593,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True, help="partial function document over the sublattice")
     p.add_argument("--out-fn")
-    p = add(cm, "accompany", cmd_cm_accompany, help="Poisson accompaniment exp(-m(1-f^(1/m)))")
+    p = add(cm, "accompany", cmd_cm_accompany, help="Poisson accompaniment exp(-m(1-f^(1/m)))", config=("m",))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--m", type=int, required=True)
@@ -606,15 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add(randset, "invert", cmd_randset_invert, help="distribution from a void functional")
     p.add_argument("--void", required=True, help="void-functional document")
     p.add_argument("--out-dist")
-    p = add(randset, "power-exists", cmd_randset_power_exists, help="does the alpha-th power exist")
+    p = add(randset, "power-exists", cmd_randset_power_exists, help="does the alpha-th power exist",
+            config=("alpha", "tol"))
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--tol", type=float, default=None)
-    p = add(randset, "union", cmd_randset_union, help="union of m independent copies")
+    p = add(randset, "union", cmd_randset_union, help="union of m independent copies", config=("m",))
     p.add_argument("--dist", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-dist")
-    p = add(randset, "poisson", cmd_randset_poisson, help="union of Poisson(lam) copies")
+    p = add(randset, "poisson", cmd_randset_poisson, help="union of Poisson(lam) copies", config=("lam",))
     p.add_argument("--dist", required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--out-dist")
@@ -623,28 +503,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist2", required=True)
 
     scan = parser_group(sub, "scan")
-    p = add(scan, "s-set", cmd_scan_s_set, help="map the divisibility set over [0, T]")
+    p = add(scan, "s-set", cmd_scan_s_set, help="map the divisibility set over [0, T]", config=("T", "step"))
     p.add_argument("--dist", required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--csv")
-    p = add(scan, "multi-interval", cmd_scan_multi_interval, help="construct a k-component witness")
+    p = add(scan, "multi-interval", cmd_scan_multi_interval, help="construct a k-component witness",
+            config=("n", "k", "step"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--step", type=float, default=1e-3)
-    p = add(scan, "schur", cmd_scan_schur, help="finite-difference Schur condition")
+    p = add(scan, "schur", cmd_scan_schur, help="finite-difference Schur condition", config=("alpha", "h"))
     p.add_argument("--x", required=True, help="comma-separated interior point")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h", type=float, default=None)
 
     approx = parser_group(sub, "approx")
-    p = add(approx, "psi", cmd_approx_psi, help="approximation-rate ingredients per m")
+    p = add(approx, "psi", cmd_approx_psi, help="approximation-rate ingredients per m",
+            config=("m", "m_list"))
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--csv")
 
     cmseq = parser_group(sub, "cmseq")
-    p = add(cmseq, "hankel", cmd_cmseq_hankel, help="Hankel positivity of two-atom powers")
+    p = add(cmseq, "hankel", cmd_cmseq_hankel, help="Hankel positivity of two-atom powers",
+            config=("x", "alpha", "orders"))
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--orders", type=int, default=None)
@@ -662,7 +545,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        result, code = args.handler(args)
+        # read after the handler, which fills in defaults it computes (tol, orders)
+        config = {name.replace("_", "-"): getattr(args, name) for name in args.config}
+        _emit({"command": f"{args.group} {args.command}", "config": config, "result": result}, args.out)
+        return code
     except FormatError as exc:
         print(f"cmlat: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

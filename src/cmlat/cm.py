@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import subset_mobius, subset_sums
+from ._kernel import _Dense, _numerators, _to_scalars, subset_mobius, subset_sums
 from ._scalars import (
     FLOAT,
     RATIONAL,
@@ -39,6 +39,7 @@ from .errors import (
     NotDistributive,
     ValueOutOfUnitInterval,
     _ensure,
+    _read_document,
 )
 from .lattice import BooleanLattice, FiniteLattice, d_max, is_distributive
 
@@ -161,15 +162,15 @@ def mobius_weights(f: LatticeFunction) -> WeightFunction:
         # top ^ mask reverses the index order, so a superset transform is the
         # subset transform of the reversed values
         return WeightFunction(lat, subset_mobius(f.values[::-1], lat.ground_n)[::-1])
-    vals, den = _common_denominator(f.values)
-    p = np.zeros_like(vals)
+    d = _dense(f.values)
+    p = np.zeros_like(d.values)
     rank = np.asarray(lat.ranks_to_top())
     order = np.argsort(rank, kind="stable")
     for level in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
         strict = lat._leq[level]
         strict[np.arange(len(level)), level] = False
-        p[level] = vals[level] - _up_sums(strict, p)
-    return WeightFunction(lat, _over(p, den))
+        p[level] = d.values[level] - _up_sums(strict, p)
+    return WeightFunction(lat, _to_scalars(d._replace(values=p)))
 
 
 def reconstruct(p: WeightFunction) -> LatticeFunction:
@@ -178,23 +179,19 @@ def reconstruct(p: WeightFunction) -> LatticeFunction:
     if isinstance(lat, BooleanLattice):
         g = subset_sums(p.weights[::-1], lat.ground_n)[::-1]
     else:
-        weights, den = _common_denominator(p.weights)
-        g = _over(_up_sums(lat._leq, weights), den)
+        d = _dense(p.weights)
+        g = _to_scalars(d._replace(values=_up_sums(lat._leq, d.values)))
     return LatticeFunction(lat, g, _clamp=RECONSTRUCT_CLAMP)
 
 
-def _common_denominator(values):
-    """Float values as a float64 array; exact ones as Python ints over their
-    least common denominator (an object array), returned with it."""
+def _dense(values) -> _Dense:
+    """Float values as float64; exact ones as Python-int numerators over their
+    least common denominator, in an object array that :func:`_up_sums` adds
+    without overflow."""
     if any(isinstance(v, float) for v in values):
-        return np.array(values, dtype=float), None
-    den = math.lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (den // v.denominator) for v in values], dtype=object), den
-
-
-def _over(values, den):
-    """Back from :func:`_common_denominator`: floats, or Fractions over den."""
-    return values.tolist() if den is None else [Fraction(int(v), den) for v in values]
+        return _Dense(np.array(values, dtype=float))
+    nums, den = _numerators(values)
+    return _Dense(np.array(nums, dtype=object), den)
 
 
 def _up_sums(rows, values):
@@ -418,31 +415,18 @@ def parse_function_text(text: str, lattice: FiniteLattice) -> LatticeFunction:
 def parse_partial_function_text(text: str, lattice: FiniteLattice) -> dict:
     """Like :func:`parse_function_text` but values may cover only a subset of
     the elements (the sublattice-extension input)."""
+    records = _read_document(text, "function", "'index value'", (int, Fraction))
+    lineno, header = next(records)
+    if not header.startswith("lattice"):
+        raise FormatError("expected a 'lattice <name>' header", line=lineno)
     values = {}
-    header = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header is None:
-            if not line.startswith("lattice"):
-                raise FormatError("expected a 'lattice <name>' header", line=lineno)
-            header = line[len("lattice"):].strip()
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise FormatError("expected 'index value'", line=lineno)
-        try:
-            idx = int(fields[0])
-            val = Fraction(fields[1])
-        except ValueError:
-            raise FormatError(f"bad entry {line!r}", line=lineno) from None
+    for lineno, (idx, val) in records:
         if not 0 <= idx < lattice.n:
             raise FormatError(f"index {idx} out of range", line=lineno)
         if idx in values:
             raise FormatError(f"duplicate index {idx}", line=lineno)
         values[idx] = val
-    if header is None or not values:
+    if not values:
         raise FormatError("empty function document", line=1)
     return values
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all cmlat modules."""
+"""Exception hierarchy shared by all cmlat modules, and the one line reader of
+the text documents whose errors it reports."""
 
 
 class CmlatError(Exception):
@@ -129,3 +130,46 @@ class FormatError(CmlatError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def _read_document(text, document, record, types, count=None):
+    """Yield a text document's header, then its parsed two-field records.
+
+    A '#' starts a comment and blank lines are skipped.  The first item is
+    ``(line number, header)``: the header line, or, when ``count`` names it,
+    the lone integer the header must hold.  Each later line must hold two
+    fields, named by ``record`` in the error, and yields ``(line number,
+    (first, second))`` converted by the pair of callables ``types``; a
+    conversion's ValueError or ZeroDivisionError is a FormatError at that
+    line.  A document without a header is "empty", at line 1.
+    Records are parsed as they are consumed, so the caller's own checks
+    report the first bad line.
+    """
+    header = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if not header:
+            header = True
+            if count is None:
+                yield lineno, line
+                continue
+            if len(fields) != 1:
+                raise FormatError(f"expected the {count} alone", line=lineno)
+            try:
+                n = int(fields[0])
+            except ValueError:
+                raise FormatError(f"bad {count} {fields[0]!r}", line=lineno) from None
+            yield lineno, n
+            continue
+        if len(fields) != 2:
+            raise FormatError(f"expected {record}", line=lineno)
+        try:
+            value = (types[0](fields[0]), types[1](fields[1]))
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"bad entry {line!r}", line=lineno) from None
+        yield lineno, value
+    if not header:
+        raise FormatError(f"empty {document} document", line=1)

@@ -14,10 +14,10 @@ from .errors import (
     BudgetExceeded,
     CyclicCovers,
     ElementOutOfRange,
-    FormatError,
     NonCoverEdge,
     NotALattice,
     SizeLimitExceeded,
+    _read_document,
 )
 
 GENERAL_SIZE_CAP = 4096
@@ -99,7 +99,7 @@ class FiniteLattice:
         return acc
 
     def cover_pairs(self):
-        return [(x, y) for x in self.elements for y in self._covers[x]]
+        return [(x, y) for x in self.elements for y in self.covers(x)]
 
     def ranks_to_top(self):
         """Length of the longest chain from each element up to the top."""
@@ -161,9 +161,6 @@ class BooleanLattice(FiniteLattice):
                 break
             m = (m - comp) & comp
         return tuple(sorted(out))
-
-    def cover_pairs(self):
-        return [(x, y) for x in self.elements for y in self.covers(x)]
 
     def ranks_to_top(self):
         return [self.ground_n - bin(x).count("1") for x in self.elements]
@@ -457,30 +454,9 @@ def format_lattice_text(lat: FiniteLattice) -> str:
 
 def parse_lattice_text(text: str, name="") -> FiniteLattice:
     """Parse the cover-pair exchange format; reports 1-based line numbers."""
-    n = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if n is None:
-            if len(fields) != 1:
-                raise FormatError("expected the element count alone", line=lineno)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise FormatError(f"bad element count {fields[0]!r}", line=lineno) from None
-            continue
-        if len(fields) != 2:
-            raise FormatError("expected 'lower upper'", line=lineno)
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise FormatError(f"bad cover pair {line!r}", line=lineno) from None
-    if n is None:
-        raise FormatError("empty lattice document", line=1)
-    return from_covers(n, pairs, name=name)
+    records = _read_document(text, "lattice", "'lower upper'", (int, int), "element count")
+    _, n = next(records)
+    return from_covers(n, [pair for _, pair in records], name=name)
 
 
 def write_lattice_file(lat: FiniteLattice, path):

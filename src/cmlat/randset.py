@@ -47,6 +47,7 @@ from .errors import (
     InvalidProbabilityVector,
     NotAVoidFunctional,
     SizeLimitExceeded,
+    _read_document,
 )
 
 GROUND_CAP = 20
@@ -311,6 +312,7 @@ def singleton_set(*ps) -> RandomSubset:
     bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
     if bad:
         raise InvalidProbabilityVector(f"masses sum to {total}, not 1")
+    _check_ground(n)  # before the 2^n table is allocated
     probs = [vals[0] * 0] * (1 << n)
     for i, p in enumerate(vals):
         probs[1 << i] = p
@@ -319,6 +321,7 @@ def singleton_set(*ps) -> RandomSubset:
 
 def uniform_singleton(n: int) -> RandomSubset:
     """Uniform random singleton on [n]."""
+    _check_ground(n)  # before the n masses are allocated
     return singleton_set(*([Fraction(1, n)] * n))
 
 
@@ -368,36 +371,16 @@ def _read_mask_lines(text: str, document: str, value_name: str, number):
 
     Returns n and an iterator of (line number, mask, value); the header and
     its range are checked here, before the caller allocates a 2^n table.
-    ``number`` parses a value and raises ValueError on bad input.
+    ``number`` parses a value and raises ValueError or ZeroDivisionError on
+    bad input.
     """
-    lines = (
-        (lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), start=1)
-    )
-    lines = ((lineno, line) for lineno, line in lines if line)
-    header = next(lines, None)
-    if header is None:
-        raise FormatError(f"empty {document} document", line=1)
-    lineno, line = header
-    fields = line.split()
-    if len(fields) != 1:
-        raise FormatError("expected the ground-set size alone", line=lineno)
-    try:
-        n = int(fields[0])
-    except ValueError:
-        raise FormatError(f"bad ground-set size {fields[0]!r}", line=lineno) from None
+    records = _read_document(text, document, f"'mask {value_name}'", (int, number), "ground-set size")
+    lineno, n = next(records)
     if not 1 <= n <= GROUND_CAP:
         raise FormatError(f"ground-set size {n} out of range", line=lineno)
 
     def entries():
-        for lineno, line in lines:
-            fields = line.split()
-            if len(fields) != 2:
-                raise FormatError(f"expected 'mask {value_name}'", line=lineno)
-            try:
-                mask = int(fields[0])
-                value = number(fields[1])
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(f"bad entry {line!r}", line=lineno) from None
+        for lineno, (mask, value) in records:
             if not 0 <= mask < (1 << n):
                 raise FormatError(f"mask {mask} out of range", line=lineno)
             yield lineno, mask, value

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import random
@@ -5,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmlat.cli import main
 from cmlat.cm import LatticeFunction, WeightFunction, reconstruct, write_function_file
@@ -498,3 +502,95 @@ def test_nan_output_keeps_its_string_spelling(monkeypatch, capsys):
     code, doc, _ = run(capsys, "randset", "dist", "--dist", "uniform-singleton:2", "--dist2", "uniform-singleton:2")
     assert code == 0
     assert doc["result"]["void_distance"] == "nan"
+
+
+# --- the output envelope over generated argv -----------------------------------
+
+LATTICES = st.one_of(
+    st.builds("chain:{}".format, st.integers(1, 6)),
+    st.builds("boolean:{}".format, st.integers(1, 6)),
+    st.builds("diamond:{}".format, st.integers(1, 4)),
+    st.just("pentagon"),
+)
+DISTS = st.one_of(
+    st.builds("uniform-singleton:{}".format, st.integers(1, 6)),
+    st.lists(st.integers(1, 9), min_size=1, max_size=6).map(
+        lambda ws: "singleton:" + ",".join(str(Fraction(w, sum(ws))) for w in ws)
+    ),
+    st.just("singleton:1/2,1/3"),
+)
+REALS = st.sampled_from(["0", "0.5", "1", "1.5", "2", "3", "-1", "nan", "1e-3"])
+
+
+@pytest.fixture(scope="module")
+def argv_docs(tmp_path_factory):
+    """Function and void documents for the generated argv, written once."""
+    d = tmp_path_factory.mktemp("argv")
+    (d / "b2.fn").write_text("lattice boolean:2\n0 1\n1 1/2\n2 1/2\n3 1/4\n")
+    (d / "c3.fn").write_text("lattice chain:3\n0 1\n1 1/2\n2 1/4\n")
+    (d / "part.fn").write_text("lattice boolean:2\n0 1\n3 1/4\n")
+    (d / "good.void").write_text("2\n0 1\n1 1/2\n2 1/2\n3 0\n")
+    (d / "bad.void").write_text("2\n0 1\n1 0.7\n2 0.7\n3 0\n")
+    return d
+
+
+def opt(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def argv(*parts):
+    """Concatenate fixed argument lists and strategies of argument lists."""
+    parts = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    return st.tuples(*parts).map(lambda lists: sum(lists, []))
+
+
+def argv_strategy(d):
+    fn_args = st.sampled_from([["--lattice", "boolean:2", "--fn", str(d / "b2.fn")],
+                               ["--lattice", "chain:3", "--fn", str(d / "c3.fn")],
+                               ["--lattice", "chain:4", "--fn", str(d / "c3.fn")]])
+    tol = st.one_of(st.just([]), opt("--tol", st.sampled_from(["0", "1e-9", "0.5"])))
+    voids = st.sampled_from([str(d / "good.void"), str(d / "bad.void")])
+    points = st.sampled_from(["0.2,0.3", "0.1,0.2,0.3", "2,-1"])
+    return st.one_of(
+        argv(["lattice", "check"], opt("--lattice", LATTICES)),
+        argv(["lattice", "make"], opt("--kind", LATTICES), ["--out-lattice", str(d / "made.lat")]),
+        argv(["cm", "check"], fn_args, tol),
+        argv(["cm", "power"], fn_args, opt("--alpha", REALS), tol),
+        argv(["cm", "extend", "--lattice", "boolean:2", "--fn", str(d / "part.fn")]),
+        argv(["cm", "accompany"], fn_args, opt("--m", st.integers(1, 5).map(str))),
+        argv(["randset", "void"], opt("--dist", DISTS)),
+        argv(["randset", "invert"], opt("--void", voids)),
+        argv(["randset", "power-exists"], opt("--dist", DISTS), opt("--alpha", REALS), tol),
+        argv(["randset", "union"], opt("--dist", DISTS), opt("--m", st.integers(1, 3).map(str))),
+        argv(["randset", "poisson"], opt("--dist", DISTS), opt("--lam", REALS)),
+        argv(["randset", "dist"], opt("--dist", DISTS), opt("--dist2", DISTS)),
+        argv(["scan", "s-set"], opt("--dist", DISTS), opt("--T", st.integers(0, 5).map(str)), opt("--step", REALS)),
+        argv(["scan", "multi-interval"], opt("--n", st.integers(3, 6).map(str)),
+             opt("--k", st.integers(1, 4).map(str))),
+        argv(["scan", "schur"], opt("--x", points), opt("--alpha", REALS)),
+        argv(["approx", "psi"], st.one_of(opt("--m", st.integers(1, 50).map(str)), st.just(["--m-list", "2,10"]))),
+        argv(["cmseq", "hankel"], opt("--x", st.sampled_from(["0.3", "0.5", "0.9"])), opt("--alpha", REALS),
+             st.one_of(st.just([]), opt("--orders", st.integers(2, 5).map(str)))),
+    )
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_exit_is_an_envelope_or_one_error_line(argv_docs, data):
+    words = data.draw(argv_strategy(argv_docs))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(words)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("cmlat: ") and err.getvalue().count("\n") == 1
+        return
+    doc = json.loads(out.getvalue(), parse_constant=reject_constant)
+    assert set(doc) == {"command", "config", "result"}
+    assert doc["command"] == f"{words[0]} {words[1]}"
+    assert err.getvalue() == ""

@@ -515,6 +515,18 @@ def test_function_format_errors():
     assert exc.value.line == 3
     with pytest.raises(FormatError):
         parse_function_text("lattice b2\n0 1\n", B2)
+    for empty in ("", "# nothing\n\n", "lattice b2 # no values\n"):
+        with pytest.raises(FormatError, match="empty function document") as exc:
+            parse_function_text(empty, B2)
+        assert exc.value.line == 1
+    with pytest.raises(FormatError, match="expected 'index value'") as exc:
+        parse_function_text("lattice b2\n0 1\n# skip\n1 1 1\n", B2)
+    assert exc.value.line == 4
+    with pytest.raises(FormatError, match="bad entry") as exc:
+        parse_function_text("lattice b2\n0 1\n1 1/0\n", B2)
+    assert exc.value.line == 3
+    text = "lattice b2  # header\n0 1 # top\n1 1/2\n2 1/2#\n3 1/4 # bottom\n"
+    assert parse_function_text(text, B2).values == (1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -0.5])

@@ -206,8 +206,15 @@ def test_format_errors():
     with pytest.raises(FormatError) as exc:
         parse_lattice_text("3\n0 1\n1 two\n")
     assert exc.value.line == 3
-    with pytest.raises(FormatError):
-        parse_lattice_text("  \n# nothing\n")
+    for empty in ("", "  \n# nothing\n"):
+        with pytest.raises(FormatError, match="empty lattice document") as exc:
+            parse_lattice_text(empty)
+        assert exc.value.line == 1
+    with pytest.raises(FormatError, match="expected 'lower upper'") as exc:
+        parse_lattice_text("3\n\n0 1\n1 2 0\n")
+    assert exc.value.line == 4
+    lat = parse_lattice_text("3  # a chain\n0 1 # lower\n1 2#upper\n")
+    assert sorted(lat.cover_pairs()) == [(0, 1), (1, 2)]
 
 
 def test_ranks_to_top():

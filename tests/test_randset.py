@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,20 @@ def test_validation():
         singleton_set(Fraction(1, 2), Fraction(1, 3))
     with pytest.raises(InvalidProbabilityVector):
         singleton_set(0, 1)
+
+
+def test_ground_set_size_checked_before_allocation():
+    # 21 singleton masses once filled a 2^21-entry list (16 MiB) before the cap check
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded):
+            singleton_set(*[Fraction(1, 21)] * 21)
+        with pytest.raises(SizeLimitExceeded):
+            uniform_singleton(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -451,6 +466,19 @@ def test_distribution_format_errors():
         parse_distribution_text("2\n0 0.5\n")  # masses do not sum to 1
     with pytest.raises(FormatError):
         parse_distribution_text("")
+    # the void-functional document is read by the same reader
+    for parse, kind in ((parse_distribution_text, "distribution"), (parse_void_text, "void-functional")):
+        for empty in ("", "# nothing\n  \n"):
+            with pytest.raises(FormatError, match=f"empty {kind} document") as exc:
+                parse(empty)
+            assert exc.value.line == 1
+        with pytest.raises(FormatError, match="expected 'mask") as exc:
+            parse("1\n0 1\n\n1 0 0\n")
+        assert exc.value.line == 4
+    x = parse_distribution_text("2 # points\n1 1/2 # {1}\n2 1/2#{2}\n")
+    assert x.probs == (0, Fraction(1, 2), Fraction(1, 2), 0)
+    v = parse_void_text("1  # n\n0 1 # empty set\n1 1/2#\n")
+    assert v.table == (1, Fraction(1, 2))
 
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1e-9])
