@@ -64,7 +64,7 @@ def pow_scalar(value, alpha):
     Exact when ``alpha`` is integral and ``value`` rational; float otherwise.
     """
     if alpha < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise DomainViolation("exponent must be nonnegative")
     if value == 0:
         if alpha == 0:
             return Fraction(1) if not isinstance(value, float) else 1.0

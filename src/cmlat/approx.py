@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
-from .errors import ChainLattice, _ensure
+from .errors import ChainLattice, DomainViolation, _ensure
 from .lattice import FiniteLattice
 from .randset import RandomSubset, poisson_union, union_iid, void_distance, void_functional
 
@@ -32,7 +32,7 @@ def sup_gap_argmax(m: int) -> float:
     so the residual stays at roundoff even for large m.
     """
     if m < 2:
-        raise ValueError("the critical-point equation needs m >= 2")
+        raise DomainViolation("the critical-point equation needs m >= 2")
     target = m / (m - 1.0)
 
     def g(u):
@@ -57,14 +57,14 @@ def sup_gap_argmax(m: int) -> float:
     return 1.0 - u
 
 
-def _golden_max(fn, lo, hi, tol=1e-12):
-    """Golden-section maximizer for a unimodal function on [lo, hi]."""
+def _golden_max(fn, lo, hi):
+    """Golden-section maximizer for a unimodal function on [lo, hi], to width 1e-12."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > tol:
+    while b - a > 1e-12:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -81,12 +81,13 @@ def scalar_gap(t: float, m: int) -> float:
     return abs(t**m - math.exp(m * (t - 1.0)))
 
 
-def _direct_max(fn, lo, hi, cells=2048):
-    """Independent maximizer: coarse grid scan, golden refinement at the peak.
+def _direct_max(fn, lo, hi):
+    """Independent maximizer: 2048-cell grid scan, golden refinement at the peak.
 
     The plain golden section is unreliable here because the integrand is
     numerically flat (zero) over most of [0, 1] for large m.
     """
+    cells = 2048
     step = (hi - lo) / cells
     best_i = max(range(cells + 1), key=lambda i: fn(lo + i * step))
     a = max(lo, lo + (best_i - 1) * step)
@@ -95,22 +96,22 @@ def _direct_max(fn, lo, hi, cells=2048):
     return x, max(val, fn(lo), fn(hi))
 
 
-def sup_gap(m: int, cross_check: bool = True) -> float:
+def sup_gap(m: int) -> float:
     """sup over t in [0, 1] of |t^m - e^{m(t-1)}|.
 
     Closed form t_m^{m-1} - t_m^m for m >= 2; direct maximization for m = 1
     (the critical-point equation degenerates there and the sup sits at t = 0
     with value 1/e).  A grid-plus-golden-section maximization cross-validates
-    the closed form by default.
+    the closed form.
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     if m == 1:
         value = _direct_max(lambda t: scalar_gap(t, 1), 0.0, 1.0)[1]
     else:
         t = sup_gap_argmax(m)
         value = t ** (m - 1) - t**m
-    if cross_check and m > 1:
+    if m > 1:
         _, direct = _direct_max(lambda t: scalar_gap(t, m), 0.0, 1.0)
         _ensure(abs(value - direct) <= 1e-9 * max(1.0, value), f"sup_gap({m}): {value} != direct {direct}")
     return value
@@ -169,11 +170,12 @@ def two_point_set(m: int) -> RandomSubset:
     )
 
 
-def separation_threshold(cap: int = SEPARATION_SCAN_CAP) -> int | None:
+def separation_threshold() -> int | None:
     """Smallest m0 with (1-1/(2m))^{2m} - (1-1/m)^m >= 1/(4em) for all m in
-    [m0, cap]; scanned because the asymptotic argument alone gives no value."""
+    [m0, SEPARATION_SCAN_CAP]; scanned because the asymptotic argument alone
+    gives no value."""
     good_from = None
-    for m in range(cap, 0, -1):
+    for m in range(SEPARATION_SCAN_CAP, 0, -1):
         sep = (1 - 1 / (2 * m)) ** (2 * m) - (1 - 1 / m) ** m
         if sep >= 1 / (4 * math.e * m):
             good_from = m
@@ -191,7 +193,7 @@ def lower_bound_witness(m: int) -> ApproxReport:
     constant 1/(4 sqrt(e) (2 + sqrt(e))).
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     x = two_point_set(m)
     xm = union_iid(x, m)
     v = void_functional(xm)
@@ -242,7 +244,7 @@ def lattice_square_witness(lat: FiniteLattice, m: int) -> SquareWitnessReport:
     same scalar quantities as for the two-point random set.
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     square = None
     for b in lat.elements:
         for c in range(b + 1, lat.n):

@@ -77,40 +77,41 @@ def _mask_docs(masks, n):
     return ({"mask": int(m), "set": mask_set(int(m), n)} for m in masks)
 
 
-def _number(text):
+def _parse(option, text, convert):
+    """``convert(text)``; text it rejects is a FormatError naming ``option``."""
     try:
-        return Fraction(text)
-    except ValueError:
-        raise FormatError(f"bad number {text!r}") from None
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"{option}: bad value {text!r}") from None
 
 
-def load_lattice(spec: str):
+def load_lattice(spec: str, option: str):
     """Builtin lattice specs (chain:k, boolean:n, diamond:k, pentagon) or a
-    cover-pair file path."""
+    cover-pair file path; ``option`` names the flag in errors."""
     from . import lattice as lattice_mod
 
     kind, _, arg = spec.partition(":")
     if kind == "chain":
-        return lattice_mod.chain_lattice(int(arg))
+        return lattice_mod.chain_lattice(_parse(option, arg, int))
     if kind == "boolean":
-        return lattice_mod.boolean_lattice(int(arg))
+        return lattice_mod.boolean_lattice(_parse(option, arg, int))
     if kind == "diamond":
-        return lattice_mod.diamond_lattice(int(arg))
+        return lattice_mod.diamond_lattice(_parse(option, arg, int))
     if kind == "pentagon":
         return lattice_mod.pentagon_lattice()
     return lattice_mod.read_lattice_file(spec)
 
 
-def load_distribution(spec: str):
+def load_distribution(spec: str, option: str):
     """Builtin distribution specs (uniform-singleton:n, singleton:p1,p2,...)
-    or a mass-table file path."""
+    or a mass-table file path; ``option`` names the flag in errors."""
     from . import randset as randset_mod
 
     kind, _, arg = spec.partition(":")
     if kind == "uniform-singleton":
-        return randset_mod.uniform_singleton(int(arg))
+        return randset_mod.uniform_singleton(_parse(option, arg, int))
     if kind == "singleton":
-        return randset_mod.singleton_set(*[_number(p) for p in arg.split(",")])
+        return randset_mod.singleton_set(*[_parse(option, p, Fraction) for p in arg.split(",")])
     return randset_mod.read_distribution_file(spec)
 
 
@@ -136,7 +137,7 @@ def cmd_lattice_check(args):
     from . import lattice as lattice_mod
 
     try:
-        lat = load_lattice(args.lattice)
+        lat = load_lattice(args.lattice, "--lattice")
     except (NotALattice, CyclicCovers, NonCoverEdge) as exc:
         return {"valid": False, "reason": str(exc), "kind": type(exc).__name__}, EXIT_NEGATIVE
     result = {
@@ -154,7 +155,7 @@ def cmd_lattice_check(args):
 def cmd_lattice_make(args):
     from . import lattice as lattice_mod
 
-    lat = load_lattice(args.kind)
+    lat = load_lattice(args.kind, "--kind")
     lattice_mod.write_lattice_file(lattice_mod.materialize(lat), args.out_lattice)
     return {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}, EXIT_OK
 
@@ -186,7 +187,7 @@ def _cm_verdict_doc(verdict):
 def cmd_cm_check(args):
     from . import cm as cm_mod
 
-    lat = load_lattice(args.lattice)
+    lat = load_lattice(args.lattice, "--lattice")
     fn = _load_fn(args, lat)
     verdict = cm_mod.is_cm(fn, tol=args.tol)
     return _cm_verdict_doc(verdict), EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
@@ -195,12 +196,12 @@ def cmd_cm_check(args):
 def cmd_cm_power(args):
     from . import cm as cm_mod
 
-    lat = load_lattice(args.lattice)
+    lat = load_lattice(args.lattice, "--lattice")
     fn = _load_fn(args, lat)
     try:
         alpha = int(args.alpha)
     except ValueError:
-        alpha = float(args.alpha)
+        alpha = _parse("--alpha", args.alpha, float)
     powered = cm_mod.power(fn, alpha)
     verdict = cm_mod.is_cm(powered, tol=args.tol)
     if args.out_fn:
@@ -212,7 +213,7 @@ def cmd_cm_power(args):
 def cmd_cm_extend(args):
     from . import cm as cm_mod
 
-    lat = load_lattice(args.lattice)
+    lat = load_lattice(args.lattice, "--lattice")
     with open(args.fn, "r", encoding="utf-8") as fh:
         sub_values = cm_mod.parse_partial_function_text(fh.read(), lat)
     extended = cm_mod.extend_cm(lat, sub_values)
@@ -225,7 +226,7 @@ def cmd_cm_accompany(args):
     from . import approx as approx_mod
     from . import cm as cm_mod
 
-    lat = load_lattice(args.lattice)
+    lat = load_lattice(args.lattice, "--lattice")
     fn = _load_fn(args, lat)
     acc = cm_mod.poisson_accompany(fn, args.m)
     if args.out_fn:
@@ -243,7 +244,7 @@ def cmd_cm_accompany(args):
 def cmd_randset_void(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist)
+    x = load_distribution(args.dist, "--dist")
     v = randset_mod.void_functional(x)
     rows = [(d["mask"], d["set"], float(v.table[d["mask"]])) for d in _mask_docs(range(1 << x.n), x.n)]
     _write_csv(args.csv, ("mask", "set", "void_probability"), rows)
@@ -271,11 +272,12 @@ def cmd_randset_power_exists(args):
 
     if args.tol is None:
         args.tol = randset_mod.MASS_TOL
-    x = load_distribution(args.dist)
-    verdict = randset_mod.power_exists(x, float(args.alpha), tol=args.tol)
+    x = load_distribution(args.dist, "--dist")
+    alpha = _parse("--alpha", args.alpha, float)
+    verdict = randset_mod.power_exists(x, alpha, tol=args.tol)
     result = {
         "exists": verdict.exists,
-        "alpha": float(args.alpha),
+        "alpha": alpha,
         "min_q": verdict.min_q,
         "boundary": verdict.boundary,
     }
@@ -290,7 +292,7 @@ def cmd_randset_power_exists(args):
 def cmd_randset_union(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist)
+    x = load_distribution(args.dist, "--dist")
     u = randset_mod.union_iid(x, args.m)
     if args.out_dist:
         randset_mod.write_distribution_file(u, args.out_dist)
@@ -300,7 +302,7 @@ def cmd_randset_union(args):
 def cmd_randset_poisson(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist)
+    x = load_distribution(args.dist, "--dist")
     y = randset_mod.poisson_union(x, args.lam)
     if args.out_dist:
         randset_mod.write_distribution_file(y, args.out_dist)
@@ -310,15 +312,15 @@ def cmd_randset_poisson(args):
 def cmd_randset_dist(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist)
-    y = load_distribution(args.dist2)
+    x = load_distribution(args.dist, "--dist")
+    y = load_distribution(args.dist2, "--dist2")
     return {"void_distance": randset_mod.void_distance(x, y)}, EXIT_OK
 
 
 def cmd_scan_s_set(args):
     from . import scan as scan_mod
 
-    x = load_distribution(args.dist)
+    x = load_distribution(args.dist, "--dist")
     result, grid_rows = scan_mod._scan(x, args.T, args.step)
     docs = _mask_docs((argmin for _, _, argmin in grid_rows), x.n)
     rows = [(alpha, min_q, argmin, d["set"]) for (alpha, min_q, argmin), d in zip(grid_rows, docs)]
@@ -349,7 +351,7 @@ def cmd_scan_multi_interval(args):
 def cmd_scan_schur(args):
     from . import scan as scan_mod
 
-    point = [float(t) for t in args.x.split(",")]
+    point = [_parse("--x", t, float) for t in args.x.split(",")]
     value = scan_mod.schur_gradient_check(point, args.alpha, h=args.h)
     return {"x": point, "product": value, "positive": value > 0}, EXIT_OK if value > 0 else EXIT_NEGATIVE
 
@@ -358,7 +360,7 @@ def cmd_approx_psi(args):
     from . import approx as approx_mod
 
     if args.m_list:
-        ms = [int(t) for t in args.m_list.split(",")]
+        ms = [_parse("--m-list", t, int) for t in args.m_list.split(",")]
     else:
         ms = [args.m]
     rows = []
@@ -410,7 +412,7 @@ def cmd_cmseq_hankel(args):
 
     if args.orders is None:
         args.orders = moments_mod.ORDER_CAP
-    alpha = float(args.alpha)
+    alpha = _parse("--alpha", args.alpha, float)
     if alpha > 0 and float(alpha).is_integer():
         seq = moments_mod.two_atom_sequence(args.x, 2 * args.orders - 1).power(int(alpha))
         verdicts = [moments_mod.hankel_psd_check(seq, n) for n in range(2, args.orders + 1)]

@@ -41,7 +41,7 @@ from .errors import (
     _ensure,
     _read_document,
 )
-from .lattice import BooleanLattice, FiniteLattice, d_max, is_distributive
+from .lattice import BooleanLattice, FiniteLattice, _subset_joins, d_max, is_distributive, verify_distinct_joins
 
 DEFAULT_REL_TOL = 1e-9
 RECONSTRUCT_CLAMP = 1e-12
@@ -58,7 +58,7 @@ class LatticeFunction:
     def __init__(self, lattice, values, _clamp=0.0):
         vals, kind = coerce_values(values)
         if len(vals) != lattice.n:
-            raise ValueError(f"expected {lattice.n} values, got {len(vals)}")
+            raise DomainViolation(f"expected {lattice.n} values, got {len(vals)}")
         if kind == FLOAT and _clamp:
             vals = tuple(0.0 if -_clamp <= v < 0 else v for v in vals)
         low = min(vals) if vals else 0
@@ -88,7 +88,7 @@ class WeightFunction:
     def __init__(self, lattice, weights):
         vals, _ = coerce_values(weights)
         if len(vals) != lattice.n:
-            raise ValueError(f"expected {lattice.n} weights, got {len(vals)}")
+            raise DomainViolation(f"expected {lattice.n} weights, got {len(vals)}")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "weights", vals)
 
@@ -135,16 +135,8 @@ def delta(f: LatticeFunction, args, base) -> object:
     args = tuple(args)
     for a in args:
         lat.check_element(a)
-    k = len(args)
-    joins = [lat.bottom] * (1 << k)
     total = 0
-    for mask in range(1 << k):
-        if mask == 0:
-            j = base
-        else:
-            low = mask & -mask
-            j = lat.join(joins[mask ^ low], args[low.bit_length() - 1])
-        joins[mask] = j
+    for mask, j in enumerate(_subset_joins(lat, base, args)):
         total += -f.values[j] if bin(mask).count("1") & 1 else f.values[j]
     return total
 
@@ -154,23 +146,32 @@ def mobius_weights(f: LatticeFunction) -> WeightFunction:
 
     Exact in rational mode; Boolean lattices use the superset Mobius
     transform, which computes the same weights in O(n 2^n).  Other lattices
-    solve one rank level at a time (ranks to the top), since the elements of
-    a level are pairwise incomparable and depend only on earlier levels.
+    solve the recursion over their order table (:func:`_solve_weights`).
     """
     lat = f.lattice
     if isinstance(lat, BooleanLattice):
         # top ^ mask reverses the index order, so a superset transform is the
         # subset transform of the reversed values
         return WeightFunction(lat, subset_mobius(f.values[::-1], lat.ground_n)[::-1])
-    d = _dense(f.values)
+    return WeightFunction(lat, _solve_weights(lat._leq, f.values))
+
+
+def _solve_weights(leq, values) -> list:
+    """Weights p with values[x] = sum of p(y) over y >= x, for the boolean
+    order table ``leq`` (``leq[x, y]`` iff x <= y), as Python scalars.
+
+    Solved one up-set size at a time: elements of equal size are incomparable,
+    and every y > x has a smaller up-set, so a level needs only earlier ones.
+    """
+    d = _dense(values)
     p = np.zeros_like(d.values)
-    rank = np.asarray(lat.ranks_to_top())
-    order = np.argsort(rank, kind="stable")
-    for level in np.split(order, np.flatnonzero(np.diff(rank[order])) + 1):
-        strict = lat._leq[level]
+    size = leq.sum(axis=1)
+    order = np.argsort(size, kind="stable")
+    for level in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
+        strict = leq[level]
         strict[np.arange(len(level)), level] = False
         p[level] = d.values[level] - _up_sums(strict, p)
-    return WeightFunction(lat, _to_scalars(d._replace(values=p)))
+    return _to_scalars(d._replace(values=p))
 
 
 def reconstruct(p: WeightFunction) -> LatticeFunction:
@@ -240,20 +241,21 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     return CmVerdict(not bad, indeterminate, min_weight, witness, float(tol))
 
 
-def is_cm_bruteforce(f: LatticeFunction, max_len=None, budget=BRUTEFORCE_BUDGET) -> bool:
+def is_cm_bruteforce(f: LatticeFunction, max_len=None) -> bool:
     """Oracle from the raw definition: sweep iterated differences directly.
 
     Checks every tuple of distinct elements up to ``max_len`` at every base
     point (order is immaterial in the inclusion-exclusion sum, so unordered
-    combinations suffice).  Independent of the Mobius route on purpose.
+    combinations suffice), within BRUTEFORCE_BUDGET difference evaluations.
+    Independent of the Mobius route on purpose.
     """
     lat = f.lattice
     n = lat.n
     if max_len is None:
         max_len = n
     cost = sum(math.comb(n, k) * (1 << k) for k in range(max_len + 1))
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} difference evaluations exceed budget {budget}")
+    if cost > BRUTEFORCE_BUDGET:
+        raise BudgetExceeded(f"{cost} difference evaluations exceed budget {BRUTEFORCE_BUDGET}")
     rational = f.kind == RATIONAL
     cutoff = 0 if rational else -DEFAULT_REL_TOL * float(max(f.max_value(), 1e-300))
     values = f.values
@@ -282,22 +284,22 @@ def power(f: LatticeFunction, alpha) -> LatticeFunction:
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainViolation(f"exponent must be finite, got {alpha}")
     if alpha < 0:
-        raise ValueError("exponent must be nonnegative")
+        raise DomainViolation("exponent must be nonnegative")
     if f.kind == RATIONAL and is_integral(alpha):
         bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in f.values)
         check_power_size(len(f.values), int(alpha), bits)
     return LatticeFunction(f.lattice, [pow_scalar(v, alpha) for v in f.values])
 
 
-def cm_power_threshold_check(f: LatticeFunction, alpha, tol=None) -> CmVerdict:
+def cm_power_threshold_check(f: LatticeFunction, alpha) -> CmVerdict:
     """Verdict for f**alpha given c.m. f.
 
     For integral alpha, or alpha >= d_max - 1, the verdict must be positive;
     anything else indicates an implementation bug and raises InvariantViolation.
     """
-    if not is_cm(f, tol=tol).is_cm:
+    if not is_cm(f).is_cm:
         raise NotCmInput("input function is not completely monotone")
-    verdict = is_cm(power(f, alpha), tol=tol)
+    verdict = is_cm(power(f, alpha))
     if is_integral(alpha) or alpha >= d_max(f.lattice) - 1:
         _ensure(verdict.is_cm, f"power {alpha} of a c.m. function must stay c.m. at or above the threshold")
     return verdict
@@ -325,8 +327,8 @@ def sharpness_witness(L: FiniteLattice) -> LatticeFunction:
         others = [covs[i] for i in range(d) if i != j]
         y = L.join_many([x, *others]) if others else x
         weights[y] += Fraction(1, d)
-    joins = {L.join_many([x, *subset]) for r in range(d + 1) for subset in itertools.combinations(covs, r)}
-    _ensure(len(joins) == 1 << d, "subset joins must be distinct on a distributive lattice")
+    distinct, _ = verify_distinct_joins(L, x)
+    _ensure(distinct, "subset joins must be distinct on a distributive lattice")
     return reconstruct(WeightFunction(L, weights))
 
 
@@ -351,18 +353,14 @@ def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
             raise NotASublattice(f"meet of {a} and {b} escapes the subset")
     vals, kind = coerce_values([sub_values[a] for a in sub])
     fvals = dict(zip(sub, vals))
-    # top-down recursion within the sublattice (it is itself a lattice)
-    order = sorted(sub, key=lambda a: (sum(1 for b in sub if L.leq(a, b)), a))
-    p = {}
-    for a in order:
-        above = sum(p[b] for b in sub if b != a and L.leq(a, b))
-        p[a] = fvals[a] - above
+    # the weights within the sublattice (it is itself a lattice)
+    p = _solve_weights(np.array([[L.leq(a, b) for b in sub] for a in sub], dtype=bool), vals)
     tol = 0 if kind == RATIONAL else DEFAULT_REL_TOL * float(max(max(vals), 1e-300))
-    worst = min(p.values())
+    worst = min(p)
     if worst < -tol:
         raise NotCmInput(f"function is not c.m. on the sublattice (weight {worst})")
     weights = [0] * L.n
-    for a, w in p.items():
+    for a, w in zip(sub, p):
         weights[a] = w
     g = reconstruct(WeightFunction(L, weights))
     for a in sub:
@@ -381,7 +379,7 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
     k-th roots are c.m. for every k (compound-Poisson structure).
     """
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     if any(v < 0 or v > 1 for v in f.values):
         raise ValueOutOfUnitInterval("accompaniment needs values in [0, 1]")
     vals = [math.exp(-m * (1.0 - math.pow(float(v), 1.0 / m))) for v in f.values]
@@ -390,7 +388,7 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
 
 def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
     if f.lattice is not g.lattice and f.lattice.n != g.lattice.n:
-        raise ValueError("functions live on different lattices")
+        raise DomainViolation("functions live on different lattices")
     return LatticeFunction(f.lattice, [a * b for a, b in zip(f.values, g.values)])
 
 

@@ -334,9 +334,8 @@ def pentagon_lattice() -> FiniteLattice:
 
 def product_lattice(a: FiniteLattice, b: FiniteLattice, name="") -> FiniteLattice:
     """Componentwise order on pairs; element (i, j) becomes index i*b.n + j."""
-    if isinstance(a, BooleanLattice) or isinstance(b, BooleanLattice):
-        a = materialize(a)
-        b = materialize(b)
+    a = materialize(a)
+    b = materialize(b)
     if a.n * b.n > GENERAL_SIZE_CAP:
         raise SizeLimitExceeded(f"{a.n * b.n} elements exceeds cap {GENERAL_SIZE_CAP}")
     leq = np.kron(a._leq, b._leq)
@@ -400,17 +399,24 @@ def verify_distinct_joins(lat: FiniteLattice, x):
     if 1 << d > SUBSET_JOIN_BUDGET:
         raise BudgetExceeded(f"2^{d} subset joins exceed budget")
     seen = {}
-    joins = [x] * (1 << d)
-    for mask in range(1, 1 << d):
-        low = mask & -mask
-        joins[mask] = lat.join(joins[mask ^ low], covs[low.bit_length() - 1])
-        j = joins[mask]
+    for mask, j in enumerate(_subset_joins(lat, x, covs)):
         if j in seen:
             a = tuple(covs[i] for i in range(d) if seen[j] >> i & 1)
             b = tuple(covs[i] for i in range(d) if mask >> i & 1)
             return False, (a, b)
         seen[j] = mask
     return True, None
+
+
+def _subset_joins(lat: FiniteLattice, base, xs):
+    """The joins of ``base`` with every subset of ``xs``, indexed by subset
+    mask (bit i for ``xs[i]``); each join extends the join without the mask's
+    lowest bit."""
+    joins = [base] * (1 << len(xs))
+    for mask in range(1, 1 << len(xs)):
+        low = mask & -mask
+        joins[mask] = lat.join(joins[mask ^ low], xs[low.bit_length() - 1])
+    return joins
 
 
 # --- built-in catalog -------------------------------------------------------

@@ -10,7 +10,7 @@ positivity at a small order, which is the counterexample machinery here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -222,20 +222,11 @@ def two_atom_power_counterexample(x, alpha, order_cap: int = ORDER_CAP) -> Hanke
     raise SearchBudgetExceeded(f"no Hankel violation up to order {order_cap}")
 
 
-def laplace_power_counterexample(y, alpha, order_cap: int = ORDER_CAP) -> HankelCertificate:
+def laplace_power_counterexample(y, alpha) -> HankelCertificate:
     """Continuous bridge: g(t) = (1 + e^{-t y})/2 sampled at integers is the
     two-atom sequence with x = e^{-y}; the same Hankel certificate refutes
     complete monotonicity of g^alpha."""
     if y <= 0:
         raise DomainViolation("y must be positive")
-    cert = two_atom_power_counterexample(math.exp(-float(y)), alpha, order_cap)
-    return HankelCertificate(
-        x=cert.x,
-        alpha=cert.alpha,
-        order=cert.order,
-        min_eigenvalue=cert.min_eigenvalue,
-        trace=cert.trace,
-        vector=cert.vector,
-        decisive=cert.decisive,
-        source=f"laplace y={float(y)!r}",
-    )
+    cert = two_atom_power_counterexample(math.exp(-float(y)), alpha)
+    return replace(cert, source=f"laplace y={float(y)!r}")

@@ -107,7 +107,7 @@ class RandomSubset:
 
     def containment_table(self):
         """P{X subset B} for every mask B (the subset-sum transform)."""
-        return subset_sums(self.probs, self.n)
+        return _to_scalars(_containment(self))
 
 
 def _check_ground(n):
@@ -140,7 +140,7 @@ class VoidFunctional:
 
     def _fill(self, n, d, vals):
         if len(d.values) != 1 << n:
-            raise ValueError(f"expected {1 << n} entries, got {len(d.values)}")
+            raise DomainViolation(f"expected {1 << n} entries, got {len(d.values)}")
         _check_void(d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", tuple(_to_scalars(d)) if vals is None else vals)
@@ -237,7 +237,7 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+        raise DomainViolation("alpha must be nonnegative")
     check_tolerance(tol)
     w = _containment(x)
     exact = w.den is not None and is_integral(alpha)
@@ -269,7 +269,7 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
     :func:`poisson_union` avoids).
     """
     if m < 1 or not is_integral(m):
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     w = _containment(x)
     v = _Dense(w.values[::-1], w.den)
     if v.den is not None:
@@ -291,7 +291,7 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     if not math.isfinite(lam):
         raise DomainViolation(f"lambda must be finite, got {lam}")
     if lam <= 0:
-        raise ValueError("lambda must be positive")
+        raise DomainViolation("lambda must be positive")
     v = _floats(_containment(x))[::-1]
     exponent = float(lam) * (v - v[0])
     return _invert(x.n, _Dense(np.fromiter(map(math.exp, exponent.tolist()), float, len(v))), MASS_TOL)
@@ -332,25 +332,25 @@ def void_distance(x: RandomSubset, y: RandomSubset) -> float:
     return float(np.abs(_floats(_containment(x)) - _floats(_containment(y))).max())
 
 
-def is_m_divisible(x: RandomSubset, m: int, tol=MASS_TOL) -> PowerVerdict:
-    """Existence verdict for the 1/m-th power."""
+def is_m_divisible(x: RandomSubset, m: int) -> PowerVerdict:
+    """Existence verdict for the 1/m-th power, at tolerance MASS_TOL."""
     if m < 1 or not is_integral(m):
-        raise ValueError("m must be a positive integer")
+        raise DomainViolation("m must be a positive integer")
     m = int(m)
-    return power_exists(x, Fraction(1, m) if m == 1 else 1.0 / m, tol=tol)
+    return power_exists(x, Fraction(1, m) if m == 1 else 1.0 / m)
 
 
-def is_infinitely_divisible(x: RandomSubset, m_max: int = 16, tol=MASS_TOL) -> bool:
+def is_infinitely_divisible(x: RandomSubset, m_max: int = 16) -> bool:
     """Approximate test: 1/m powers for m = 1..m_max plus the pairwise
-    necessary condition V(K union K') >= V(K) V(K')."""
+    necessary condition V(K union K') >= V(K) V(K'), both to MASS_TOL."""
     if x.n > 10:
         raise BudgetExceeded("pairwise condition sweep is 4^n; ground set too large")
-    if not all(is_m_divisible(x, m, tol=tol).exists for m in range(1, m_max + 1)):
+    if not all(is_m_divisible(x, m).exists for m in range(1, m_max + 1)):
         return False
     v = void_functional(x).table
     for k1 in range(1 << x.n):
         for k2 in range(1 << x.n):
-            if float(v[k1 | k2]) < float(v[k1]) * float(v[k2]) - tol:
+            if float(v[k1 | k2]) < float(v[k1]) * float(v[k2]) - MASS_TOL:
                 return False
     return True
 

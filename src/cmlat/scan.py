@@ -16,10 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _per_bit, subset_sums
+from ._kernel import _floats, _per_bit, subset_sums
 from ._scalars import coerce_values
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
-from .randset import RandomSubset
+from .randset import RandomSubset, _containment
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -35,6 +35,8 @@ MAX_HALVINGS = 60
 CERTIFY_BUDGET = 40000
 GRID_POINT_CAP = 10**6
 SCAN_BLOCK_BYTES = 4 << 20  # bound on one block of grid rows of q in _scan
+COVER_SLACK = 1e-9  # IntervalComponent.covers widens a component by this much
+PROFILE_TOL = 1e-9  # power_difference_profile's tolerance, relative to sum |c_i| b_i^alpha
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,8 @@ class IntervalComponent:
     is_point: bool
     margin: float
 
-    def covers(self, alpha, slack=1e-9) -> bool:
-        return self.lo - slack <= alpha <= self.hi + slack
+    def covers(self, alpha) -> bool:
+        return self.lo - COVER_SLACK <= alpha <= self.hi + COVER_SLACK
 
 
 @dataclass(frozen=True)
@@ -141,20 +143,15 @@ class IntervalSet:
         return tuple((c.lo, c.hi) for c in self.components if not c.is_point)
 
 
-def scan_S(
-    x: RandomSubset,
-    T,
-    step: float = 0.01,
-    margin: float = SCAN_MARGIN,
-    refine_tol: float = REFINE_TOL,
-) -> IntervalSet:
+def scan_S(x: RandomSubset, T, step: float = 0.01) -> IntervalSet:
     """Map S_X over [0, T] by a grid scan of min_A q(A) with refinement.
 
-    Grid points classify as existing when the minimum clears -margin; run
-    boundaries are refined by bisection; integers whose neighborhoods are
-    negative are force-included as isolated points (they always belong).
+    Grid points classify as existing when the minimum clears -SCAN_MARGIN;
+    run boundaries are refined by bisection to REFINE_TOL; integers whose
+    neighborhoods are negative are force-included as isolated points (they
+    always belong).
     """
-    return _scan(x, T, step, margin, refine_tol)[0]
+    return _scan(x, T, step)[0]
 
 
 def _min_q(w, alphas):
@@ -173,7 +170,7 @@ def _min_q(w, alphas):
     return q[np.arange(len(alphas)), masks], masks
 
 
-def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
+def _scan(x: RandomSubset, T, step):
     """The scan behind :func:`scan_S`; also returns the grid rows
     (alpha, min_A q(A), argmin mask), the CSV view.
 
@@ -186,7 +183,7 @@ def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
         raise DomainViolation("need T > 0 and step > 0")
     if T / step > GRID_POINT_CAP:
         raise BudgetExceeded(f"grid of T/step = {T / step:.3g} points exceeds cap {GRID_POINT_CAP}")
-    w = np.array([float(t) for t in x.containment_table()])
+    w = _floats(_containment(x))
 
     def min_q(alpha: float) -> float:
         if alpha == 0:
@@ -207,14 +204,14 @@ def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
     vals[0] = 0.0
     argmin_masks[0] = 0
     rows = list(zip(grid.tolist(), vals.tolist(), argmin_masks.tolist()))
-    exists = vals >= -margin
+    exists = vals >= -SCAN_MARGIN
 
     def _bisect(lo, hi):
-        # pred(lo) != pred(hi); returns the transition point to refine_tol
-        plo = min_q(lo) >= -margin
-        while hi - lo > refine_tol:
+        # pred(lo) != pred(hi); returns the transition point to REFINE_TOL
+        plo = min_q(lo) >= -SCAN_MARGIN
+        while hi - lo > REFINE_TOL:
             mid = 0.5 * (lo + hi)
-            if (min_q(mid) >= -margin) == plo:
+            if (min_q(mid) >= -SCAN_MARGIN) == plo:
                 lo = mid
             else:
                 hi = mid
@@ -233,11 +230,11 @@ def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
         lo = float(grid[i]) if i == 0 else _bisect(float(grid[i - 1]), float(grid[i]))
         hi = float(grid[j]) if j == npts - 1 else _bisect(float(grid[j]), float(grid[j + 1]))
         run_margin = float(np.min(vals[i : j + 1]))
-        width_cut = max(step / 2, 4 * refine_tol)
+        width_cut = max(step / 2, 4 * REFINE_TOL)
         if hi - lo <= width_cut:
             pos = 0.5 * (lo + hi)
             snapped = round(pos)
-            if abs(pos - snapped) <= step and 0 <= snapped <= T and min_q(float(snapped)) >= -margin:
+            if abs(pos - snapped) <= step and 0 <= snapped <= T and min_q(float(snapped)) >= -SCAN_MARGIN:
                 pos = float(snapped)
             components.append(IntervalComponent(pos, pos, True, run_margin))
         else:
@@ -247,7 +244,7 @@ def _scan(x: RandomSubset, T, step, margin=SCAN_MARGIN, refine_tol=REFINE_TOL):
     for j in range(int(math.floor(float(T))) + 1):
         if not any(c.covers(j) for c in components):
             mj = min_q(float(j))
-            if mj >= -margin:
+            if mj >= -SCAN_MARGIN:
                 components.append(IntervalComponent(float(j), float(j), True, mj))
     components.sort(key=lambda c: c.lo)
     for a, b in zip(components, components[1:]):
@@ -368,9 +365,10 @@ class PowerDifferenceReport:
     tol: float
 
 
-def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDifferenceReport:
+def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
     """Evaluate q over the grid; check |q| small at integers <= n-1 and
-    q >= -tol for alpha > n-1; report strictly negative non-integer points."""
+    q >= -tol for alpha > n-1; report strictly negative non-integer points.
+    Here tol = PROFILE_TOL * max(1, sum |c_i| b_i^alpha)."""
     vals, _ = coerce_values(p)
     n = len(vals)
     if n < 1 or any(v <= 0 for v in vals):
@@ -387,7 +385,7 @@ def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDif
     integer_values = []
     for j in range(1, n):
         qj = poly(j)
-        tol = tol_scale * max(1.0, scale_at(j))
+        tol = PROFILE_TOL * max(1.0, scale_at(j))
         _ensure(abs(qj) <= tol, f"q({j}) = {qj} should vanish")
         integer_values.append((j, qj))
     grid_values = []
@@ -398,12 +396,12 @@ def power_difference_profile(p, alpha_grid, tol_scale: float = 1e-9) -> PowerDif
             continue
         qa = poly(a)
         grid_values.append((a, qa))
-        tol = tol_scale * max(1.0, scale_at(a))
+        tol = PROFILE_TOL * max(1.0, scale_at(a))
         if a > n - 1:
             _ensure(qa >= -tol, f"q({a}) = {qa} should be nonnegative beyond n-1")
         elif qa < -tol and abs(a - round(a)) > 1e-12:
             negatives.append((a, qa))
-    return PowerDifferenceReport(n, tuple(integer_values), tuple(grid_values), tuple(negatives), tol_scale)
+    return PowerDifferenceReport(n, tuple(integer_values), tuple(grid_values), tuple(negatives), PROFILE_TOL)
 
 
 # --- the multi-component construction ----------------------------------------------
@@ -481,23 +479,23 @@ def _grid(lo, hi, step, include_hi=False):
 # item at its first failing entry, so a failing law costs only what decides it.
 
 
-def _midpoint_negatives(law, level, neg_margin):
+def _midpoint_negatives(law, level):
     """Item 2: the least r_b at j + 1/2 is negative, for every j < n - level - 1."""
     for j in range(0, law.n - level - 1):
         alpha = j + 0.5
         vals = {b: law.value(b, alpha) for b in range(2, law.n + 1)}
         best_b = min(vals, key=vals.get)
-        yield {"alpha": alpha, "size": best_b, "value": vals[best_b]}, vals[best_b] < -neg_margin
+        yield {"alpha": alpha, "size": best_b, "value": vals[best_b]}, vals[best_b] < -CERT_MARGIN
 
 
-def _existence_windows(law, level, delta, grid_step, exist_tol):
-    """Item 3: every r_b clears -exist_tol on [j, j + delta], for n - level <= j < n - 1."""
+def _existence_windows(law, level, delta, grid_step):
+    """Item 3: every r_b clears -EXIST_TOL on [j, j + delta], for n - level <= j < n - 1."""
     for j in range(law.n - level, law.n - 1):
         worst = float(law.grid(_grid(float(j), float(j) + delta, grid_step), range(2, law.n + 1)).min())
-        yield {"j": j, "delta": delta, "min_q": worst}, worst >= -exist_tol
+        yield {"j": j, "delta": delta, "min_q": worst}, worst >= -EXIST_TOL
 
 
-def _interior_negatives(law, level, grid_step, neg_margin):
+def _interior_negatives(law, level, grid_step):
     """Item 4: some r_b is negative inside (j, j + 1), for n - level <= j < n - 1."""
     sizes = range(2, law.n + 1)
     for j in range(law.n - level, law.n - 1):
@@ -505,17 +503,17 @@ def _interior_negatives(law, level, grid_step, neg_margin):
         rows = law.grid(alphas, sizes)
         b, i = np.unravel_index(np.argmin(rows), rows.shape)  # least size, then least alpha
         value = float(rows[b, i])
-        yield {"j": j, "alpha": float(alphas[i]), "size": sizes[b], "value": value}, value < -neg_margin
+        yield {"j": j, "alpha": float(alphas[i]), "size": sizes[b], "value": value}, value < -CERT_MARGIN
 
 
-def _positivity_near_integers(law, level, delta, grid_step, pos_margin):
-    """Item 5: r_b > pos_margin within delta of every integer 1..n-2, for b >= n - level + 2."""
+def _positivity_near_integers(law, level, delta, grid_step):
+    """Item 5: r_b > CERT_MARGIN within delta of every integer 1..n-2, for b >= n - level + 2."""
     sizes = range(law.n - level + 2, law.n + 1)
     for j in range(1, law.n - 1):
         lo = max(grid_step, float(j) - delta)
         mins = law.grid(_grid(lo, float(j) + delta, grid_step, include_hi=True), sizes).min(axis=1)
         for b, worst in zip(sizes, mins.tolist()):
-            yield {"j": j, "size": b, "min_r": worst}, worst > pos_margin
+            yield {"j": j, "size": b, "min_r": worst}, worst > CERT_MARGIN
 
 
 def _until_failure(checked):
@@ -528,7 +526,7 @@ def _until_failure(checked):
     return seen, True
 
 
-def _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, tick=lambda: None):
+def _certify(law, level, ladder, grid_step, tick=lambda: None):
     """The first delta of ``ladder`` for which the level-``level`` law passes
     the five structural items, and the report; (None, None) when none does.
 
@@ -542,17 +540,17 @@ def _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, t
     )
     ok = pattern
     if ok:
-        mids, ok = _until_failure(_midpoint_negatives(law, level, neg_margin))
+        mids, ok = _until_failure(_midpoint_negatives(law, level))
     if ok:
-        wits, ok = _until_failure(_interior_negatives(law, level, grid_step, neg_margin))
+        wits, ok = _until_failure(_interior_negatives(law, level, grid_step))
     for delta in ladder:
         tick()
         if not ok:
             continue
-        exist, holds = _until_failure(_existence_windows(law, level, delta, grid_step, exist_tol))
+        exist, holds = _until_failure(_existence_windows(law, level, delta, grid_step))
         if not holds:
             continue
-        near, holds = _until_failure(_positivity_near_integers(law, level, delta, grid_step, pos_margin))
+        near, holds = _until_failure(_positivity_near_integers(law, level, delta, grid_step))
         if holds:
             return delta, {
                 "item1_pattern_exact": pattern,
@@ -564,22 +562,14 @@ def _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, t
     return None, None
 
 
-def construct_multi_interval(
-    n: int,
-    k: int,
-    grid_step: float = 1e-3,
-    eps_start=EPS_START,
-    max_halvings: int = MAX_HALVINGS,
-    neg_margin: float = CERT_MARGIN,
-    exist_tol: float = EXIST_TOL,
-    pos_margin: float = CERT_MARGIN,
-) -> MultiIntervalCertificate:
+def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIntervalCertificate:
     """Build an exchangeable law on [n] whose S_X has >= k interval components.
 
     Level 2 puts mass (1-eps)/n on singletons and eps on the full set; each
     later level moves eps of mass onto the next smaller set size (total moved
     mass equals eps, subtracted evenly from the currently charged sets).  The
-    eps at every level is found by halving until the full item set certifies
+    eps at every level is found by halving, from EPS_START at most
+    MAX_HALVINGS times, until the full item set certifies
     on a grid for some ladder delta (largest first: the negativity windows
     shrink as eps does, so eps and delta are searched jointly); the reported
     delta is the largest value certifying the final distribution.  Every
@@ -601,7 +591,7 @@ def construct_multi_interval(
 
     def certifies(level, masses):
         law = _SizeClassLaw(n, masses)
-        delta, _ = _certify(law, level, ladder, grid_step, neg_margin, exist_tol, pos_margin, tick)
+        delta, _ = _certify(law, level, ladder, grid_step, tick)
         return delta is not None
 
     def make_masses(level, prev, eps):
@@ -624,8 +614,8 @@ def construct_multi_interval(
     def solve(level, prev):
         # depth-first over per-level halvings: a level whose every deeper
         # continuation fails sends the search back here for a smaller eps
-        eps = Fraction(eps_start)
-        for _ in range(max_halvings):
+        eps = EPS_START
+        for _ in range(MAX_HALVINGS):
             masses = make_masses(level, prev, eps)
             if masses is not None and certifies(level, masses):
                 if level == k:
@@ -644,14 +634,14 @@ def construct_multi_interval(
         chain = solve(2, None)
     if chain is None:
         raise SearchFailed(
-            f"no eps chain certified levels 2..{k} within {max_halvings} halvings each",
+            f"no eps chain certified levels 2..{k} within {MAX_HALVINGS} halvings each",
             params={"n": n, "k": k, "certify_calls": calls},
         )
     epsilons = [eps for eps, _ in chain]
     masses = chain[-1][1]
 
     law = _SizeClassLaw(n, masses)
-    delta, report = _certify(law, k, DELTA_LADDER, grid_step, neg_margin, exist_tol, pos_margin)
+    delta, report = _certify(law, k, DELTA_LADDER, grid_step)
     _ensure(delta is not None, "final masses certified during the search")
 
     probs = [Fraction(0)] * (1 << n)

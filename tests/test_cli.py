@@ -246,13 +246,13 @@ def test_json_is_byte_identical(capsys):
 
 def test_scan_s_set_builds_one_containment_table(monkeypatch, capsys):
     calls = []
-    real = randset.subset_sums
+    real = randset._transform
 
-    def counting(values, ground_n):
+    def counting(a, ground_n, op):
         calls.append(ground_n)
-        return real(values, ground_n)
+        return real(a, ground_n, op)
 
-    monkeypatch.setattr(randset, "subset_sums", counting)
+    monkeypatch.setattr(randset, "_transform", counting)
     assert main(["scan", "s-set", "--dist", "uniform-singleton:5", "--T", "6"]) == 0
     capsys.readouterr()
     assert calls == [5]
@@ -466,6 +466,29 @@ def test_schur_with_huge_coordinates_exits_two(capsys):
     code, doc, err = run(capsys, "scan", "schur", "--x", "1e308,1e308,1", "--alpha", "2")
     assert (code, doc) == (2, None)
     assert "DomainViolation" in err and "OverflowError" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["randset", "poisson", "--dist", "uniform-singleton:2", "--lam", "0"], "DomainViolation:"),
+        (["randset", "union", "--dist", "uniform-singleton:2", "--m", "0"], "DomainViolation:"),
+        (["approx", "psi", "--m", "0"], "DomainViolation:"),
+        (["randset", "power-exists", "--dist", "uniform-singleton:2", "--alpha", "-1"], "DomainViolation:"),
+        (["approx", "psi", "--m-list", "2,x"], "input error: --m-list: bad value 'x'"),
+        (["scan", "schur", "--x", "0.2,x", "--alpha", "1.5"], "input error: --x: bad value 'x'"),
+        (["lattice", "check", "--lattice", "chain:x"], "input error: --lattice: bad value 'x'"),
+        (["randset", "void", "--dist", "uniform-singleton:x"], "input error: --dist: bad value 'x'"),
+        (["randset", "void", "--dist", "singleton:1/0,1"], "input error: --dist: bad value '1/0'"),
+        (["cm", "power", "--lattice", "chain:2", "--fn", "{fn}", "--alpha", "x"], "input error: --alpha: bad value 'x'"),
+    ],
+)
+def test_out_of_domain_parameters_are_typed_errors(tmp_path, capsys, argv, prefix):
+    fn = tmp_path / "f.txt"
+    fn.write_text("lattice chain:2\n0 1\n1 1/2\n")
+    code, doc, err = run(capsys, *(a.format(fn=fn) for a in argv))
+    assert (code, doc) == (2, None)
+    assert err.count("\n") == 1 and err.startswith(f"cmlat: {prefix}"), err
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-0.5"])

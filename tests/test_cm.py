@@ -1,10 +1,12 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -460,6 +462,64 @@ def test_extend_float_mode():
     for mask, v in sub.items():
         assert g.values[mask] == pytest.approx(v, abs=1e-12)
     assert is_cm(g).is_cm
+
+
+def reference_sublattice_weights(L, sub_values):
+    """The recursion extend_cm ran on its own before it shared the generic
+    solve, kept as its oracle: top-down by up-set size within the
+    sublattice, each sum over the elements above in ascending index order."""
+    sub = sorted(sub_values)
+    order = sorted(sub, key=lambda a: (sum(1 for b in sub if L.leq(a, b)), a))
+    p = {}
+    for a in order:
+        above = sum(p[b] for b in sub if b != a and L.leq(a, b))
+        p[a] = sub_values[a] - above
+    return p
+
+
+def intervals_and_chains(lat):
+    """Sublattices of ``lat``: every interval [a, b] and every chain {a, b}."""
+    for a in lat.elements:
+        for b in lat.elements:
+            if a != b and lat.leq(a, b):
+                yield [z for z in lat.elements if lat.leq(a, z) and lat.leq(z, b)]
+                yield [a, b]
+
+
+def test_extend_weights_match_reference_recursion():
+    rng = random.Random(37)
+    for lat in catalog(max_size=8):
+        for sub in intervals_and_chains(lat):
+            up = {a: [b for b in sub if lat.leq(a, b)] for a in sub}
+            exact_w = {a: Fraction(rng.randint(0, 9), rng.randint(1, 6)) for a in sub}
+            float_w = {a: rng.uniform(0.0, 3.0) for a in sub}
+            cases = [
+                {a: sum(exact_w[b] for b in up[a]) for a in sub},  # c.m.
+                {a: sum(float_w[b] for b in up[a]) for a in sub},  # c.m.
+                {a: rng.uniform(0.0, 2.0) for a in sub},  # mostly not c.m.
+            ]
+            for values in cases:
+                want = reference_sublattice_weights(lat, values)
+                got = cm_module._solve_weights(
+                    np.array([[lat.leq(a, b) for b in sub] for a in sub]), [values[a] for a in sub]
+                )
+                assert got == [want[a] for a in sub], (lat.name, sub)
+                if isinstance(got[0], float):
+                    assert [v.hex() for v in got] == [want[a].hex() for a in sub], (lat.name, sub)
+                worst = min(want.values())
+                tol = 0 if isinstance(worst, Fraction) else 1e-9 * max(values.values())
+                if worst < -tol:
+                    with pytest.raises(NotCmInput, match=re.escape(f"(weight {worst})")):
+                        extend_cm(lat, values)
+                    continue
+                weights = [0] * lat.n
+                for a, w in want.items():
+                    weights[a] = w
+                g = extend_cm(lat, values).values
+                h = reconstruct(WeightFunction(lat, weights)).values
+                assert g == h
+                if isinstance(g[0], float):
+                    assert [v.hex() for v in g] == [v.hex() for v in h]
 
 
 # --- accompaniment ---------------------------------------------------------------

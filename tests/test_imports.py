@@ -103,3 +103,11 @@ def test_cli_group_loads_only_its_modules(group, tmp_path):
         f"    if main({argv!r}) not in (0, 1):\n        raise SystemExit('exit code 2')"
     )
     assert loaded_after(code) == CORE | modules
+
+
+def test_readme_library_tour_runs():
+    # the README's "Library tour" block, run as written against the public API
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md (Library tour)", "exec"), {})
