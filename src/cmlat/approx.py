@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._scalars import check_power_size
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
 from .errors import ChainLattice, DomainViolation, _ensure
 from .lattice import FiniteLattice
@@ -195,9 +196,11 @@ def lower_bound_witness(m: int) -> ApproxReport:
     if m < 1:
         raise DomainViolation("m must be a positive integer")
     x = two_point_set(m)
-    xm = union_iid(x, m)
-    v = void_functional(xm)
-    slack = float(v(0b11)) - float(v(0b01)) * float(v(0b10))
+    v = void_functional(x)
+    # the union's void functional is V**m: the exact-power budget of union_iid
+    # applies to the four table entries over the common denominator 2m
+    check_power_size(4, m, (2 * m).bit_length())
+    slack = float(v(0b11) ** m) - float(v(0b01) ** m) * float(v(0b10) ** m)
     separation = (1 - 1 / (2 * m)) ** (2 * m) - (1 - 1 / m) ** m
     bound = 1 / (4 * math.e * m)
     gap = sup_gap(m)

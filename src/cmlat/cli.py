@@ -30,6 +30,7 @@ from .errors import (
     NotALattice,
     NotAVoidFunctional,
     SearchFailed,
+    SizeLimitExceeded,
 )
 
 EXIT_OK = 0
@@ -156,7 +157,9 @@ def cmd_lattice_make(args):
     from . import lattice as lattice_mod
 
     lat = load_lattice(args.kind, "--kind")
-    lattice_mod.write_lattice_file(lattice_mod.materialize(lat), args.out_lattice)
+    if lat.n > lattice_mod.GENERAL_SIZE_CAP:  # a larger document could not be read back
+        raise SizeLimitExceeded(f"{lat.n} elements exceeds cap {lattice_mod.GENERAL_SIZE_CAP}")
+    lattice_mod.write_lattice_file(lat, args.out_lattice)
     return {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}, EXIT_OK
 
 
@@ -555,7 +558,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"cmlat: input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cmlat: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CmlatError as exc:

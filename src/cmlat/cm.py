@@ -54,6 +54,7 @@ class LatticeFunction:
 
     lattice: FiniteLattice
     values: tuple
+    kind: str
 
     def __init__(self, lattice, values, _clamp=0.0):
         vals, kind = coerce_values(values)
@@ -66,10 +67,7 @@ class LatticeFunction:
             raise NegativeValue(f"function value {low} is negative")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def kind(self):
-        return RATIONAL if all(not isinstance(v, float) for v in self.values) else FLOAT
+        object.__setattr__(self, "kind", kind)
 
     def max_value(self):
         return max(self.values)
@@ -84,17 +82,15 @@ class WeightFunction:
 
     lattice: FiniteLattice
     weights: tuple
+    kind: str
 
     def __init__(self, lattice, weights):
-        vals, _ = coerce_values(weights)
+        vals, kind = coerce_values(weights)
         if len(vals) != lattice.n:
             raise DomainViolation(f"expected {lattice.n} weights, got {len(vals)}")
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "weights", vals)
-
-    @property
-    def kind(self):
-        return RATIONAL if all(not isinstance(v, float) for v in self.weights) else FLOAT
+        object.__setattr__(self, "kind", kind)
 
 
 @dataclass(frozen=True)
@@ -387,7 +383,10 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
 
 
 def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:
-    if f.lattice is not g.lattice and f.lattice.n != g.lattice.n:
+    """f * g pointwise; the two lattices must have the same cover pairs
+    (compared element by element: a 2^20 list of them takes about 1 GB)."""
+    a, b = f.lattice, g.lattice
+    if a is not b and (a.n != b.n or any(a.covers(x) != b.covers(x) for x in a.elements)):
         raise DomainViolation("functions live on different lattices")
     return LatticeFunction(f.lattice, [a * b for a, b in zip(f.values, g.values)])
 

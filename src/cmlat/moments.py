@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scalars import FLOAT, RATIONAL, coerce_values, is_integral, pow_scalar
+from ._scalars import RATIONAL, coerce_values, is_integral, pow_scalar
 from .errors import DomainViolation, InsufficientLength, SearchBudgetExceeded, _ensure
 
 PSD_OK_REL = 1e-10
@@ -33,10 +33,11 @@ class MomentSequence:
     """
 
     values: tuple
+    kind: str
     atoms: tuple | None = None
 
     def __init__(self, values, atoms=None):
-        vals, _ = coerce_values(values)
+        vals, kind = coerce_values(values)
         if any(v < 0 for v in vals):
             raise DomainViolation("moment sequence entries must be nonnegative")
         if atoms is not None:
@@ -52,6 +53,7 @@ class MomentSequence:
                     same = v == want
                 _ensure(same, f"moment {k} disagrees with the atoms")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "atoms", atoms)
 
     @classmethod
@@ -62,10 +64,6 @@ class MomentSequence:
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def kind(self):
-        return RATIONAL if all(not isinstance(v, float) for v in self.values) else FLOAT
 
     def power(self, alpha):
         """Pointwise power; the generating atoms are dropped (powers of moment

@@ -589,11 +589,6 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
                 params={"n": n, "k": k, "calls": calls},
             )
 
-    def certifies(level, masses):
-        law = _SizeClassLaw(n, masses)
-        delta, _ = _certify(law, level, ladder, grid_step, tick)
-        return delta is not None
-
     def make_masses(level, prev, eps):
         if level == 2:
             masses = [Fraction(0)] * (n + 1)
@@ -617,12 +612,12 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
         eps = EPS_START
         for _ in range(MAX_HALVINGS):
             masses = make_masses(level, prev, eps)
-            if masses is not None and certifies(level, masses):
-                if level == k:
-                    return [(eps, masses)]
-                rest = solve(level + 1, masses)
-                if rest is not None:
-                    return [(eps, masses)] + rest
+            if masses is not None:
+                delta, report = _certify(_SizeClassLaw(n, masses), level, ladder, grid_step, tick)
+                if delta is not None:
+                    rest = [] if level == k else solve(level + 1, masses)
+                    if rest is not None:
+                        return [(eps, masses, delta, report)] + rest
             eps /= 2
         return None
 
@@ -637,12 +632,10 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
             f"no eps chain certified levels 2..{k} within {MAX_HALVINGS} halvings each",
             params={"n": n, "k": k, "certify_calls": calls},
         )
-    epsilons = [eps for eps, _ in chain]
-    masses = chain[-1][1]
-
-    law = _SizeClassLaw(n, masses)
-    delta, report = _certify(law, k, DELTA_LADDER, grid_step)
-    _ensure(delta is not None, "final masses certified during the search")
+    # the ladder is DELTA_LADDER or a prefix of it, so the delta that certified
+    # the last law is the first of DELTA_LADDER to certify it
+    epsilons = [eps for eps, *_ in chain]
+    _, masses, delta, report = chain[-1]
 
     probs = [Fraction(0)] * (1 << n)
     for mask in range(1 << n):

@@ -17,7 +17,7 @@ from cmlat.approx import (
     upper_bound_witness,
 )
 from cmlat.cm import is_cm, power
-from cmlat.errors import ChainLattice
+from cmlat.errors import BudgetExceeded, ChainLattice
 from cmlat.lattice import boolean_lattice, chain_lattice, diamond_lattice, materialize
 from cmlat.randset import RandomSubset, union_iid, void_functional
 
@@ -175,3 +175,24 @@ def test_square_witness_on_diamond():
 def test_square_witness_rejects_chains():
     with pytest.raises(ChainLattice):
         lattice_square_witness(chain_lattice(6), 3)
+
+
+# --- the union route as an oracle for the slack ----------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 100, 1000])
+def test_slack_equals_the_union_route(m):
+    """The m-fold union's masses, summed back into its void functional, give
+    V**m exactly, so the slack taken from V**m directly is the same float."""
+    v = void_functional(union_iid(two_point_set(m), m))
+    want = float(v(0b11)) - float(v(0b01)) * float(v(0b10))
+    assert lower_bound_witness(m).necessary_condition_slack == want
+
+
+def test_slack_keeps_the_exact_power_budget_of_the_union():
+    m = 10**6
+    with pytest.raises(BudgetExceeded) as want:
+        union_iid(two_point_set(m), m)
+    with pytest.raises(BudgetExceeded) as got:
+        lower_bound_witness(m)
+    assert str(got.value) == str(want.value)

@@ -16,6 +16,7 @@ from cmlat.lattice import (
     boolean_lattice,
     chain_lattice,
     diamond_lattice,
+    format_lattice_text,
     from_covers,
     materialize,
     product_lattice,
@@ -481,6 +482,13 @@ def test_schur_with_huge_coordinates_exits_two(capsys):
         (["randset", "void", "--dist", "uniform-singleton:x"], "input error: --dist: bad value 'x'"),
         (["randset", "void", "--dist", "singleton:1/0,1"], "input error: --dist: bad value '1/0'"),
         (["cm", "power", "--lattice", "chain:2", "--fn", "{fn}", "--alpha", "x"], "input error: --alpha: bad value 'x'"),
+        # no lattice was given, so there is no verdict to report
+        (["lattice", "check", "--lattice", "chain:0"], "DomainViolation: a chain needs at least one element"),
+        (["lattice", "check", "--lattice", "diamond:0"], "DomainViolation: need at least one atom"),
+        (["lattice", "check", "--lattice", "diamond:-1"], "DomainViolation: need at least one atom"),
+        (["lattice", "make", "--kind", "chain:0", "--out-lattice", "{fn}.lat"], "DomainViolation:"),
+        (["lattice", "make", "--kind", "boolean:13", "--out-lattice", "{fn}.lat"],
+         "SizeLimitExceeded: 8192 elements exceeds cap 4096"),
     ],
 )
 def test_out_of_domain_parameters_are_typed_errors(tmp_path, capsys, argv, prefix):
@@ -617,3 +625,22 @@ def test_every_exit_is_an_envelope_or_one_error_line(argv_docs, data):
     assert set(doc) == {"command", "config", "result"}
     assert doc["command"] == f"{words[0]} {words[1]}"
     assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("lattice", "check", "--lattice", "{tmp}"),
+    ("randset", "void", "--dist", "{tmp}"),
+    ("approx", "psi", "--out", "{tmp}"),
+])
+def test_directory_path_is_input_error(tmp_path, capsys, argv):
+    code, doc, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2 and doc is None
+    assert "unexpected" not in err and "Is a directory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_lattice_make_writes_the_materialized_document(tmp_path, capsys, k):
+    out = tmp_path / "b.lat"
+    code, doc, _ = run(capsys, "lattice", "make", "--kind", f"boolean:{k}", "--out-lattice", str(out))
+    assert code == 0 and doc["result"]["n"] == 1 << k
+    assert out.read_bytes() == format_lattice_text(materialize(boolean_lattice(k))).encode()

@@ -46,10 +46,12 @@ from cmlat.lattice import (
     chain_lattice,
     d_max,
     diamond_lattice,
+    from_covers,
     pentagon_lattice,
     product_lattice,
     materialize,
 )
+from cmlat.moments import MomentSequence
 
 B2 = boolean_lattice(2)
 DIAMOND = diamond_lattice(3)
@@ -622,3 +624,37 @@ else:
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert proc.stdout.strip() == "raised", proc.stderr
+
+
+def test_pointwise_product_needs_the_same_cover_pairs():
+    chain = LatticeFunction(chain_lattice(4), [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+    square = LatticeFunction(from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), [1, 0.5, 0.5, 0.25])
+    with pytest.raises(DomainViolation, match="different lattices"):
+        pointwise_product(chain, square)
+    with pytest.raises(DomainViolation, match="different lattices"):
+        pointwise_product(square, chain)
+    other = LatticeFunction(chain_lattice(4), [1, 1, Fraction(1, 2), 0])  # built separately
+    assert pointwise_product(chain, other).values == (1, Fraction(1, 2), Fraction(1, 8), 0)
+    b2 = LatticeFunction(boolean_lattice(2), [1, 0.5, 0.5, 0.25])
+    assert pointwise_product(b2, square).values == (1.0, 0.25, 0.25, 0.0625)
+
+
+def _rescanned_kind(values):
+    return "rational" if all(not isinstance(v, float) for v in values) else "float"
+
+
+@pytest.mark.parametrize("values", [
+    [1, Fraction(1, 2), Fraction(1, 3), 0],
+    [1.0, 0.5, 0.25, 0.0],
+    [1, 0.5, Fraction(1, 4), 0],
+])
+def test_stored_kind_matches_a_rescan_of_the_values(values):
+    lat = boolean_lattice(2)
+    f = LatticeFunction(lat, values)
+    functions = [f, power(f, 2), power(f, 0.5), reconstruct(mobius_weights(f))]
+    for g in functions:
+        assert g.kind == _rescanned_kind(g.values)
+    for p in [WeightFunction(lat, values), mobius_weights(f)]:
+        assert p.kind == _rescanned_kind(p.weights)
+    for seq in [MomentSequence(values), MomentSequence(values).power(3)]:
+        assert seq.kind == _rescanned_kind(seq.values)

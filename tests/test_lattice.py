@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import numpy as np
@@ -72,6 +73,10 @@ def test_cyclic_covers_rejected():
 def test_transitively_implied_edge_rejected():
     with pytest.raises(NonCoverEdge):
         from_covers(3, [(0, 1), (1, 2), (0, 2)])
+    # (0, 3) is implied by 0 < 1 < 3, but the maximal 2 and 3 have no join,
+    # and a document that is not a lattice says so first
+    with pytest.raises(NotALattice, match="no unique join"):
+        from_covers(4, [(0, 1), (0, 2), (1, 3), (0, 3)])
 
 
 def test_out_of_range_pair():
@@ -358,3 +363,48 @@ def test_order_axiom_violations():
         FiniteLattice(np.array([[1, 1], [1, 1]], dtype=bool))
     with pytest.raises(NotALattice, match="not reflexive"):
         FiniteLattice(np.array([[0, 1], [0, 1]], dtype=bool))
+
+
+def _implied_pairs(n, pairs):
+    """Declared pairs (lower, upper) whose upper lies above another declared
+    cover of lower, from the transitive closure of the pairs."""
+    reach = np.eye(n, dtype=bool)
+    for lower, upper in pairs:
+        reach[lower, upper] = True
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k])
+    above = {}
+    for lower, upper in pairs:
+        above.setdefault(lower, set()).add(upper)
+    return {(lower, upper) for lower, covs in above.items() for upper in covs
+            if any(reach[c, upper] for c in covs - {upper})}
+
+
+def test_non_cover_edges_match_the_implied_edge_set():
+    """Relabelled lattices given by their covers plus some implied and some
+    repeated pairs: from_covers names the first implied pair in document order,
+    and builds the lattice when there is none."""
+    rng = random.Random(29)
+    lattices = catalog() + random_products(5, 20)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        lat = rng.choice(lattices)
+        n = lat.n
+        perm = list(range(n))
+        rng.shuffle(perm)
+        covers = [(perm[x], perm[y]) for x, y in lat.cover_pairs()]
+        longer = [(perm[x], perm[y]) for x in lat.elements for y in lat.up_set(x)
+                  if y != x and y not in lat.covers(x)]
+        doc = covers + rng.sample(covers, min(len(covers), rng.randint(0, 2)))
+        doc += rng.sample(longer, min(len(longer), rng.choice([0, 0, 1, 2])))
+        rng.shuffle(doc)
+        implied = _implied_pairs(n, doc)
+        first = next((pair for pair in doc if pair in implied), None)
+        seen[first is None] += 1
+        if first is None:
+            assert sorted(from_covers(n, doc).cover_pairs()) == sorted(covers)
+        else:
+            with pytest.raises(NonCoverEdge) as exc:
+                from_covers(n, doc)
+            assert str(exc.value) == f"pair {first} is implied transitively"
+    assert min(seen.values()) > 50

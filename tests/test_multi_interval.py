@@ -14,6 +14,8 @@ from cmlat.scan import (
     COARSE_LADDER_LEN,
     DELTA_LADDER,
     ExponentialPolynomial,
+    _certify,
+    _SizeClassLaw,
     construct_multi_interval,
 )
 
@@ -260,3 +262,12 @@ def test_search_matches_per_delta_oracle(n, k):
     cert = construct_multi_interval(n, k)
     assert (cert.epsilons, cert.size_masses, cert.delta) == want[:3]
     assert json.dumps(cert.items, sort_keys=True) == json.dumps(want[3], sort_keys=True)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 4)])
+def test_reported_delta_recertifies_on_the_full_ladder(n, k):
+    """The search reports the delta that certified its last law; certifying
+    that law afresh on the whole of DELTA_LADDER gives the same delta and items."""
+    cert = construct_multi_interval(n, k)
+    delta, items = _certify(_SizeClassLaw(n, cert.size_masses), k, DELTA_LADDER, 1e-3)
+    assert delta == cert.delta and items == cert.items
