@@ -18,7 +18,10 @@ the verdict, in one of two forms:
 Python scalars (floats, Fractions) are built only at the API boundary.  The
 pointwise float power calls libm once per entry (`math.pow`) rather than
 numpy's vectorised version: numpy's SIMD pow can differ from libm in the
-last place, and a verdict must not depend on how numpy was built.
+last place, and a verdict must not depend on how numpy was built.  The
+divisibility-set scan (`scan._min_q`) does not use it: it raises its grid
+with numpy's `**`, so its q can differ in the last bits from
+`randset.power_exists` at the same alpha.
 """
 
 from __future__ import annotations

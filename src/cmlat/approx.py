@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from ._scalars import check_power_size
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
@@ -171,10 +172,11 @@ def two_point_set(m: int) -> RandomSubset:
     )
 
 
+@cache
 def separation_threshold() -> int | None:
     """Smallest m0 with (1-1/(2m))^{2m} - (1-1/m)^m >= 1/(4em) for all m in
     [m0, SEPARATION_SCAN_CAP]; scanned because the asymptotic argument alone
-    gives no value."""
+    gives no value, once per process."""
     good_from = None
     for m in range(SEPARATION_SCAN_CAP, 0, -1):
         sep = (1 - 1 / (2 * m)) ** (2 * m) - (1 - 1 / m) ** m

@@ -366,46 +366,20 @@ def cmd_approx_psi(args):
         ms = [_parse("--m-list", t, int) for t in args.m_list.split(",")]
     else:
         ms = [args.m]
-    rows = []
-    reports = []
-    for m in ms:
-        rep = approx_mod.lower_bound_witness(m)
-        reports.append(rep)
-        rows.append(
-            (
-                m,
-                rep.t_m if rep.t_m is not None else "",
-                rep.sup_gap,
-                rep.m_times_gap,
-                rep.necessary_condition_slack,
-                rep.separation,
-                rep.separation_bound,
-                rep.separation_holds,
-            )
-        )
+    fields = ("m", "t_m", "sup_gap", "m_times_gap", "necessary_condition_slack", "separation",
+              "separation_bound", "separation_holds")
+    reports = [approx_mod.lower_bound_witness(m) for m in ms]
+    docs = [{f: getattr(r, f) for f in fields} for r in reports]
     _write_csv(
         args.csv,
-        ("m", "t_m", "sup_gap", "m_times_gap", "necessary_slack", "separation", "separation_bound", "separation_holds"),
-        rows,
+        ["necessary_slack" if f == "necessary_condition_slack" else f for f in fields],
+        (["" if v is None else v for v in doc.values()] for doc in docs),  # t_m is None at m = 1
     )
     result = {
         "lower_constant": approx_mod.LOWER_BOUND_CONSTANT,
         "limit_m_times_gap": approx_mod.LIMIT_M_TIMES_GAP,
         "m_threshold": reports[-1].m_threshold,
-        "reports": [
-            {
-                "m": r.m,
-                "t_m": r.t_m,
-                "sup_gap": r.sup_gap,
-                "m_times_gap": r.m_times_gap,
-                "necessary_condition_slack": r.necessary_condition_slack,
-                "separation": r.separation,
-                "separation_bound": r.separation_bound,
-                "separation_holds": r.separation_holds,
-                "notes": list(r.notes),
-            }
-            for r in reports
-        ],
+        "reports": [{**doc, "notes": list(r.notes)} for doc, r in zip(docs, reports)],
     }
     return result, EXIT_OK
 

@@ -40,7 +40,6 @@ from ._kernel import (
 )
 from ._scalars import FLOAT, RATIONAL, check_tolerance, coerce_values, is_integral
 from .errors import (
-    BudgetExceeded,
     DomainViolation,
     FormatError,
     GroundSetMismatch,
@@ -340,19 +339,37 @@ def is_m_divisible(x: RandomSubset, m: int) -> PowerVerdict:
     return power_exists(x, Fraction(1, m) if m == 1 else 1.0 / m)
 
 
-def is_infinitely_divisible(x: RandomSubset, m_max: int = 16) -> bool:
-    """Approximate test: 1/m powers for m = 1..m_max plus the pairwise
-    necessary condition V(K union K') >= V(K) V(K'), both to MASS_TOL."""
-    if x.n > 10:
-        raise BudgetExceeded("pairwise condition sweep is 4^n; ground set too large")
-    if not all(is_m_divisible(x, m).exists for m in range(1, m_max + 1)):
-        return False
-    v = void_functional(x).table
-    for k1 in range(1 << x.n):
-        for k2 in range(1 << x.n):
-            if float(v[k1 | k2]) < float(v[k1]) * float(v[k2]) - MASS_TOL:
-                return False
-    return True
+def _levy_measure(x: RandomSubset):
+    """The Levy measure of X on [n] minus its fixed part, or None if X has none.
+
+    The fixed part F is the intersection of the atoms.  When P{X = F} > 0,
+    returns ``(sets, nu)``: nu[j] is the subset-Mobius transform of
+    log P{X subset F union B} over B inside [n] minus F, taken at the set
+    sets[j] (a mask disjoint from F).  nu[0] is minus the total intensity.
+    """
+    d = x._dense
+    fixed = int(np.bitwise_and.reduce(np.flatnonzero(d.values)))
+    if not d.values[fixed]:
+        return None
+    sets = np.zeros(1, dtype=np.int64)
+    for i in range(x.n):
+        if not fixed >> i & 1:
+            sets = np.concatenate([sets, sets | 1 << i])
+    w = _floats(_containment(x))[fixed | sets]  # at least P{X = F} > 0
+    return sets, _transform(np.log(w), len(sets).bit_length() - 1, np.subtract)
+
+
+def is_infinitely_divisible(x: RandomSubset) -> bool:
+    """Is V_X^alpha a void functional for every alpha > 0?
+
+    Exactly when X is its fixed part F (the intersection of its atoms, which
+    must itself be an atom) united with a Poisson union whose intensity is
+    the Levy measure nu of :func:`_levy_measure`: nu(A) >= -MASS_TOL on every
+    nonempty A.  A negative nu(A) fails the power at small alpha, where
+    q(F union A, alpha) = alpha nu(A) + O(alpha^2).
+    """
+    levy = _levy_measure(x)
+    return levy is not None and bool(levy[1][1:].min(initial=0.0) >= -MASS_TOL)
 
 
 # --- text exchange format -----------------------------------------------------

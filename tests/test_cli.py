@@ -222,6 +222,16 @@ def test_approx_psi(tmp_path, capsys):
     assert len(csv_path.read_text().strip().splitlines()) == 4
 
 
+def test_approx_psi_scans_the_threshold_once(capsys):
+    from cmlat import approx
+
+    approx.separation_threshold.cache_clear()
+    code, doc, _ = run(capsys, "approx", "psi", "--m-list", "2,10,100,1000,10000")
+    assert code == 0 and doc["result"]["m_threshold"] == 1
+    scans = approx.separation_threshold.cache_info()
+    assert (scans.misses, scans.hits) == (1, 4)
+
+
 def test_cmseq_hankel(capsys):
     code, doc, _ = run(capsys, "cmseq", "hankel", "--x", "0.5", "--alpha", "1.5")
     assert code == 1

@@ -1,8 +1,10 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,10 @@ from cmlat.errors import (
     SizeLimitExceeded,
 )
 from cmlat.randset import (
+    MASS_TOL,
     RandomSubset,
     VoidFunctional,
+    _levy_measure,
     format_distribution_text,
     from_void,
     is_infinitely_divisible,
@@ -375,7 +379,7 @@ def test_poisson_is_infinitely_divisible():
     rng = random.Random(29)
     x = random_rational_subset(3, rng)
     y = poisson_union(x, 2.5)
-    assert is_infinitely_divisible(y, m_max=64)
+    assert is_infinitely_divisible(y)
 
 
 # --- divisibility -----------------------------------------------------------------------
@@ -390,7 +394,130 @@ def test_example2_not_two_divisible():
 def test_union_not_infinitely_divisible():
     m = 4
     u = union_iid(two_point(m), m)
-    assert not is_infinitely_divisible(u, m_max=8)
+    assert not is_infinitely_divisible(u)
+
+
+# --- infinite divisibility ------------------------------------------------------------------
+
+
+def sampled_infinite_divisibility(x, m_max=16):
+    """The former sampled test, kept as an oracle of necessary conditions: the
+    1/m powers for m = 1..m_max and V(K union K') >= V(K) V(K'), to MASS_TOL."""
+    if not all(is_m_divisible(x, m).exists for m in range(1, m_max + 1)):
+        return False
+    v = [float(t) for t in void_functional(x).table]
+    size = 1 << x.n
+    return all(v[k1 | k2] >= v[k1] * v[k2] - MASS_TOL for k1 in range(size) for k2 in range(size))
+
+
+def law_of_levy(n, nu):
+    """The float law with w(B) = exp(-sum of nu(A) over nonempty A not inside B)."""
+    w = [math.exp(-sum(v for a, v in nu.items() if a & ~b)) for b in range(1 << n)]
+    return RandomSubset(n, subset_mobius(w, n))
+
+
+def x_nu():
+    """0.3 on singletons, 0.5 on pairs, -0.004 on {0, 1, 2}: every mass is
+    nonnegative, yet the powers fail for alpha in (0, 0.0033)."""
+    sizes = {1: 0.3, 2: 0.5, 3: -0.004}
+    return law_of_levy(3, {a: sizes[bin(a).count("1")] for a in range(1, 8)})
+
+
+def test_negative_levy_intensity_is_not_infinitely_divisible():
+    x = x_nu()
+    assert min(x.probs) > 0.03
+    assert not power_exists(x, 0.001).exists
+    assert not is_infinitely_divisible(x)
+    sets, nu = _levy_measure(x)
+    deciding = int(np.argmin(nu[1:])) + 1  # the nonempty set of least intensity
+    assert sets[deciding] == 0b111
+    assert nu[deciding] == pytest.approx(-0.004, abs=1e-12)
+
+
+def test_uniform_singleton_has_no_fixed_atom():
+    # the atoms {i} meet in the empty set, which is no atom once n >= 2
+    assert is_infinitely_divisible(uniform_singleton(1))
+    for n in range(2, 21):
+        assert not is_infinitely_divisible(uniform_singleton(n)), n
+
+
+def test_fixed_part_is_split_off():
+    # every atom contains element 2 (mask 0b100); the free part is a Poisson union on {0, 1, 3}
+    rng = random.Random(31)
+    y = poisson_union(random_rational_subset(3, rng), 1.5)
+
+    def with_fixed(mask):
+        return (mask & 0b11) | (mask >> 2 << 3) | 0b100
+
+    probs = [0.0] * 16
+    for mask, p in enumerate(y.probs):
+        probs[with_fixed(mask)] = p
+    x = RandomSubset(4, probs)
+    sets, nu = _levy_measure(x)
+    assert len(nu) == 8 and not any(sets & 0b100)
+    _, want = _levy_measure(y)
+    assert [with_fixed(m) ^ 0b100 for m in range(8)] == sets.tolist()
+    assert np.abs(nu - want).max() < 1e-12
+    assert is_infinitely_divisible(x)
+    # a fixed element above a free part with no atom at the fixed part, or above X_nu
+    probs = [0, 0, 0, 0, 0, 0.5, 0.5, 0]
+    assert not is_infinitely_divisible(RandomSubset(3, probs))
+    assert _levy_measure(RandomSubset(3, probs)) is None
+    probs = [0.0] * 16
+    for mask, p in enumerate(x_nu().probs):
+        probs[mask | 0b1000] = p
+    assert not is_infinitely_divisible(RandomSubset(4, probs))
+    # a deterministic set is its own fixed part
+    assert is_infinitely_divisible(RandomSubset(2, [0, 0, 1, 0]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.randoms(use_true_random=False),
+    st.floats(min_value=0.1, max_value=5.0),
+    st.booleans(),
+)
+def test_poisson_unions_are_infinitely_divisible(n, pyrng, lam, exact):
+    x = random_rational_subset(n, pyrng)
+    if not exact:
+        x = RandomSubset(n, [float(p) for p in x.probs])
+    y = poisson_union(x, lam)
+    assert is_infinitely_divisible(y)
+    sets, nu = _levy_measure(y)  # the empty set is an atom of y: no fixed part
+    assert sets.tolist() == list(range(1 << n))
+    want = np.array([lam * float(p) for p in x.probs])
+    assert np.abs(nu[1:] - want[1:]).max() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(-5, 100), min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    )
+)
+def test_sampled_oracle_accepts_every_accepted_law(case):
+    # intensities in steps of 1e-3: a negative one lies far outside the MASS_TOL band
+    n, steps = case
+    try:
+        x = law_of_levy(n, {a: k / 1000 for a, k in enumerate(steps, start=1)})
+    except InvalidProbabilityVector:  # a negative mass: no law
+        return
+    assert is_infinitely_divisible(x) == (min(steps) >= 0)
+    if is_infinitely_divisible(x):
+        assert sampled_infinite_divisibility(x)
+
+
+def test_n20_float_law_decided_quickly():
+    rng = random.Random(47)
+    atoms = rng.sample(range(1, 1 << 20), 256)
+    weights = [rng.uniform(0.5, 1.5) for _ in atoms]
+    total = math.fsum(weights)
+    x = parse_distribution_text("20\n" + "".join(f"{a} {w / total!r}\n" for a, w in zip(atoms, weights)))
+    y = poisson_union(x, 3.0)
+    start = time.perf_counter()
+    assert is_infinitely_divisible(y)
+    assert time.perf_counter() - start < 0.5
 
 
 # --- distance ------------------------------------------------------------------------------
