@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 
-from ._scalars import check_power_size
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
 from .errors import ChainLattice, DomainViolation, _ensure
 from .lattice import FiniteLattice
-from .randset import RandomSubset, poisson_union, union_iid, void_distance, void_functional
+from .randset import RandomSubset, poisson_union, union_iid, void_distance
 
 LOWER_BOUND_CONSTANT = 1.0 / (4.0 * math.sqrt(math.e) * (2.0 + math.sqrt(math.e)))
 LIMIT_M_TIMES_GAP = 2.0 / math.e**2
 SEPARATION_SCAN_CAP = 10**4
+ROUNDED_POWER_DIGITS = 640
 
 
 def sup_gap_argmax(m: int) -> float:
@@ -172,6 +173,34 @@ def two_point_set(m: int) -> RandomSubset:
     )
 
 
+def _rounded_power(k: int, m: int) -> float:
+    """(1 - 1/k)^m rounded to the nearest float, as ``float(Fraction)`` rounds it.
+
+    Evaluated as exp(m log(1 - 1/k)) in `Decimal` with an error interval; the
+    precision doubles until both ends of the interval round to one float.  A
+    value on a tie between two floats never settles, so past
+    ``ROUNDED_POWER_DIGITS`` the exact power decides.
+    """
+    if k == 1:
+        return 0.0
+    digits = 40
+    while digits <= ROUNDED_POWER_DIGITS:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            y = (Decimal(k - 1) / k).ln() * m
+            value = y.exp()
+            # each operation errs by at most half a unit u in the last digit:
+            # |y - m log(1 - 1/k)| <= u (m + |y|), and exp turns that into a
+            # relative error; err is twice the bound, for the two products below
+            u = Decimal(10) ** (1 - digits)
+            err = 2 * u * (m + abs(y) + 1)
+            lo, hi = float(value * (1 - err)), float(value * (1 + err))
+        if lo == hi:
+            return lo
+        digits *= 2
+    return float(Fraction(k - 1, k) ** m)
+
+
 @cache
 def separation_threshold() -> int | None:
     """Smallest m0 with (1-1/(2m))^{2m} - (1-1/m)^m >= 1/(4em) for all m in
@@ -198,11 +227,10 @@ def lower_bound_witness(m: int) -> ApproxReport:
     if m < 1:
         raise DomainViolation("m must be a positive integer")
     x = two_point_set(m)
-    v = void_functional(x)
-    # the union's void functional is V**m: the exact-power budget of union_iid
-    # applies to the four table entries over the common denominator 2m
-    check_power_size(4, m, (2 * m).bit_length())
-    slack = float(v(0b11) ** m) - float(v(0b01) ** m) * float(v(0b10) ** m)
+    # the union's void functional is V**m, with V(ab) = 1 - 1/m and
+    # V(a) = V(b) = 1 - 1/(2m)
+    single = _rounded_power(2 * m, m)
+    slack = _rounded_power(m, m) - single * single
     separation = (1 - 1 / (2 * m)) ** (2 * m) - (1 - 1 / m) ** m
     bound = 1 / (4 * math.e * m)
     gap = sup_gap(m)

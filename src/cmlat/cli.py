@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
 
@@ -38,21 +37,11 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid strict JSON
-        return "nan"
-    return obj
-
-
 def _emit(doc, out_path):
+    from ._output import encode
+
     try:
-        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = encode(doc)
     except ValueError as exc:  # an infinite float: strict JSON cannot spell it
         raise InvariantViolation(f"output not strict JSON: {exc}") from None
     if out_path:
@@ -69,13 +58,6 @@ def _write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _mask_docs(masks, n):
-    """A {"mask", "set"} document per subset mask, made as it is consumed."""
-    from .randset import mask_set
-
-    return ({"mask": int(m), "set": mask_set(int(m), n)} for m in masks)
 
 
 def _parse(option, text, convert):
@@ -123,12 +105,17 @@ def _function_doc(fn):
     }
 
 
+def _mask_doc(mask, n):
+    from .randset import mask_set
+
+    return {"mask": mask, "set": mask_set(mask, n)}
+
+
 def _distribution_doc(x):
-    docs = _mask_docs((mask for mask, p in enumerate(x.probs) if p != 0), x.n)
-    return {
-        "n": x.n,
-        "masses": {str(d["mask"]): {"probability": x.probs[d["mask"]], **d} for d in docs},
-    }
+    from ._output import MaskTable
+
+    masks = [mask for mask, p in enumerate(x.probs) if p != 0]
+    return {"n": x.n, "masses": MaskTable(x.n, masks, "probability", [x.probs[m] for m in masks])}
 
 
 # --- command handlers -------------------------------------------------------
@@ -246,12 +233,17 @@ def cmd_cm_accompany(args):
 
 def cmd_randset_void(args):
     from . import randset as randset_mod
+    from ._output import MaskTable
+    from ._scalars import FLOAT
 
     x = load_distribution(args.dist, "--dist")
     v = randset_mod.void_functional(x)
-    rows = [(d["mask"], d["set"], float(v.table[d["mask"]])) for d in _mask_docs(range(1 << x.n), x.n)]
-    _write_csv(args.csv, ("mask", "set", "void_probability"), rows)
-    void = {str(m): {"value": v.table[m], "mask": m, "set": s} for m, s, _ in rows}
+    void = MaskTable(x.n, range(1 << x.n), "value", v.table)
+    if args.csv:
+        keys, sets, values = void.texts
+        if v.kind != FLOAT:  # the CSV holds floats, the JSON the exact values
+            values = map(float, v.table)
+        _write_csv(args.csv, ("mask", "set", "void_probability"), zip(keys, sets, values))
     return {"n": x.n, "void": void}, EXIT_OK
 
 
@@ -263,7 +255,7 @@ def cmd_randset_invert(args):
     try:
         x = randset_mod.from_void(v)
     except NotAVoidFunctional as exc:
-        witness = next(_mask_docs([exc.witness], v.n))
+        witness = _mask_doc(exc.witness, v.n)
         return {"valid": False, "reason": str(exc), "witness": witness, "mass": exc.mass}, EXIT_NEGATIVE
     if args.out_dist:
         randset_mod.write_distribution_file(x, args.out_dist)
@@ -285,10 +277,11 @@ def cmd_randset_power_exists(args):
         "boundary": verdict.boundary,
     }
     if verdict.witness is not None:
-        result["witness"] = {**next(_mask_docs([verdict.witness], x.n)), "q": verdict.q_values[verdict.witness]}
+        result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.q_values[verdict.witness]}
     if x.n <= 10:
-        docs = _mask_docs(range(1 << x.n), x.n)
-        result["q"] = {str(m): {"value": verdict.q_values[m], **d} for m, d in enumerate(docs)}
+        from ._output import MaskTable
+
+        result["q"] = MaskTable(x.n, range(1 << x.n), "value", verdict.q_values)
     return result, EXIT_OK if verdict.exists else EXIT_NEGATIVE
 
 
@@ -322,11 +315,12 @@ def cmd_randset_dist(args):
 
 def cmd_scan_s_set(args):
     from . import scan as scan_mod
+    from .randset import mask_sets
 
     x = load_distribution(args.dist, "--dist")
     result, grid_rows = scan_mod._scan(x, args.T, args.step)
-    docs = _mask_docs((argmin for _, _, argmin in grid_rows), x.n)
-    rows = [(alpha, min_q, argmin, d["set"]) for (alpha, min_q, argmin), d in zip(grid_rows, docs)]
+    sets = mask_sets([argmin for _, _, argmin in grid_rows], x.n)
+    rows = [(*row, s) for row, s in zip(grid_rows, sets)]
     _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), rows)
     components = [
         {"lo": c.lo, "hi": c.hi, "point": c.is_point, "margin": c.margin} for c in result.components

@@ -54,9 +54,28 @@ MASS_TOL = 1e-9
 SUM_TOL = 1e-12
 
 
+def mask_sets(masks, n) -> list:
+    """Brace notation for each subset mask, elements numbered from 1.
+
+    One lookup table per half of the mask holds the element lists of the
+    half values that occur, each element followed by a comma; a mask's set
+    is its two entries joined, less the last comma.  ``masks`` is iterated
+    three times.
+    """
+    half = n // 2
+    low_bits = (1 << half) - 1
+
+    def lists(values, first, stop):
+        return {v: "".join(f"{i + 1}," for i in range(first, stop) if v >> (i - first) & 1) for v in values}
+
+    low = lists({m & low_bits for m in masks}, 0, half)
+    high = lists({m >> half for m in masks}, half, n)
+    return ["{%s}" % (low[m & low_bits] + high[m >> half])[:-1] for m in masks]
+
+
 def mask_set(mask, n) -> str:
-    """Brace notation for a subset mask, elements numbered from 1."""
-    return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+    """Brace notation for one subset mask (see :func:`mask_sets`)."""
+    return mask_sets([mask], n)[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlat import cli
+from cmlat._output import MaskTable
 from cmlat.cli import main
 from cmlat.cm import LatticeFunction, WeightFunction, reconstruct, write_function_file
 from cmlat.lattice import (
@@ -23,6 +26,7 @@ from cmlat.lattice import (
     write_lattice_file,
 )
 from cmlat import randset
+from cmlat.errors import InvariantViolation
 from cmlat.randset import RandomSubset, void_functional, write_distribution_file
 
 
@@ -654,3 +658,195 @@ def test_lattice_make_writes_the_materialized_document(tmp_path, capsys, k):
     code, doc, _ = run(capsys, "lattice", "make", "--kind", f"boolean:{k}", "--out-lattice", str(out))
     assert code == 0 and doc["result"]["n"] == 1 << k
     assert out.read_bytes() == format_lattice_text(materialize(boolean_lattice(k))).encode()
+
+
+# --- the emitter against the standard-library encoder ------------------------------
+
+
+def one_line_mask_set(mask, n):
+    return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+
+
+def oracle_jsonable(obj):
+    """The document as plain JSON values, each mask table as its dict per mask."""
+    if isinstance(obj, MaskTable):
+        obj = {str(m): {obj.column: v, "mask": m, "set": one_line_mask_set(m, obj.n)}
+               for m, v in zip(obj.masks, obj.values)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {str(k): oracle_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_jsonable(v) for v in obj]
+    if isinstance(obj, float) and obj != obj:  # NaN is not valid strict JSON
+        return "nan"
+    return obj
+
+
+def oracle_text(doc):
+    try:
+        return json.dumps(oracle_jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvariantViolation(f"output not strict JSON: {exc}") from None
+
+
+def first_difference(got, want):
+    """None for equal texts, else the line number and both lines where they
+    first differ (a full diff of megabyte documents would take minutes)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    return i + 1, got_lines[i:i + 1], want_lines[i:i + 1]
+
+
+def emitted(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc, None)
+    return out.getvalue()
+
+
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**40), 10**40),
+    st.floats(allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, math.nan, 2.0, 10.0]),
+    st.fractions(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é→😀", "{1,2}"]),
+)
+KEYS = st.one_of(st.sampled_from([2, 10, 1, "2", "10", "a"]), st.integers(-3, 12), st.text(max_size=4))
+TABLES = st.integers(1, 5).flatmap(lambda n: st.builds(
+    MaskTable,
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12),
+    st.sampled_from(["probability", "value"]),
+    st.just(()),
+)).flatmap(lambda t: st.lists(LEAVES, min_size=len(t.masks), max_size=len(t.masks)).map(
+    lambda values: MaskTable(t.n, t.masks, t.column, values)))
+DOCUMENTS = st.recursive(
+    st.one_of(LEAVES, TABLES),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(KEYS, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_emit_matches_the_standard_encoder(doc):
+    assert first_difference(emitted(doc), oracle_text(doc)) is None
+
+
+@pytest.mark.parametrize("doc", [
+    math.inf,
+    {"a": [1, {"b": -math.inf}]},
+    {"t": MaskTable(3, [1, 2], "value", [0.5, math.inf])},
+])
+def test_emit_refuses_infinity_as_the_standard_encoder_does(doc):
+    with pytest.raises(InvariantViolation) as want:
+        oracle_text(doc)
+    with pytest.raises(InvariantViolation) as got:
+        emitted(doc)
+    assert str(got.value) == str(want.value)
+
+
+def oracle_run(monkeypatch, argv):
+    """stdout of ``main(argv)``, then of the same run emitted by the oracle."""
+    outputs = []
+    for emit in (cli._emit, lambda doc, out_path: print(oracle_text(doc), end="")):
+        monkeypatch.setattr(cli, "_emit", emit)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        outputs.append((code, out.getvalue()))
+    return outputs
+
+
+def float_law(rng, n, atoms):
+    raw = [0.0] * (1 << n)
+    for mask in rng.sample(range(1 << n), atoms):
+        raw[mask] = rng.random()
+    total = sum(raw)
+    return RandomSubset(n, [p / total for p in raw])
+
+
+def exact_law(rng, n, atoms):
+    weights = [0] * (1 << n)
+    for mask in rng.sample(range(1 << n), atoms):
+        weights[mask] = rng.randint(1, 9)
+    total = sum(weights)
+    return RandomSubset(n, [Fraction(w, total) for w in weights])
+
+
+@pytest.fixture(scope="module")
+def laws(tmp_path_factory):
+    d = tmp_path_factory.mktemp("laws")
+    rng = random.Random(12)
+    paths = {}
+    point = [0] * 16
+    point[11] = 1
+    for name, law in [("float16", float_law(rng, 16, 256)), ("exact16", exact_law(rng, 16, 32)),
+                      ("float10", float_law(rng, 10, 64)), ("exact8", exact_law(rng, 8, 16)),
+                      ("point4", RandomSubset(4, point))]:
+        paths[name] = str(d / f"{name}.dist")
+        write_distribution_file(law, paths[name])
+    for name, law in [("float12", float_law(rng, 12, 128)), ("exact10", exact_law(rng, 10, 24))]:
+        paths[name] = str(d / f"{name}.void")
+        table = void_functional(law).table
+        (d / f"{name}.void").write_text(f"{law.n}\n" + "".join(f"{k} {v}\n" for k, v in enumerate(table)))
+    paths["bad"] = str(d / "bad.void")
+    (d / "bad.void").write_text(f"2\n0 1\n1 {0.5**0.5!r}\n2 {0.5**0.5!r}\n3 0\n")
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["randset", "union", "--dist", "{float16}", "--m", "3"],
+    ["randset", "union", "--dist", "{exact16}", "--m", "2"],
+    ["randset", "union", "--dist", "{point4}", "--m", "5"],
+    ["randset", "poisson", "--dist", "{float16}", "--lam", "2.5"],
+    ["randset", "poisson", "--dist", "{exact16}", "--lam", "0.5"],
+    ["randset", "invert", "--void", "{float12}"],
+    ["randset", "invert", "--void", "{exact10}"],
+    ["randset", "invert", "--void", "{bad}"],
+    ["randset", "power-exists", "--dist", "{float10}", "--alpha", "2.5"],
+    ["randset", "power-exists", "--dist", "{exact8}", "--alpha", "2"],
+    ["randset", "power-exists", "--dist", "{exact8}", "--alpha", "0.5"],
+    ["randset", "power-exists", "--dist", "{float16}", "--alpha", "0.5"],
+    ["randset", "power-exists", "--dist", "{point4}", "--alpha", "0.5"],
+])
+def test_mask_tables_print_the_oracle_bytes(monkeypatch, laws, argv):
+    (code, got), (want_code, want) = oracle_run(monkeypatch, [a.format(**laws) for a in argv])
+    assert code == want_code
+    assert first_difference(got, want) is None
+
+
+@pytest.mark.parametrize("law", ["float16", "exact8", "point4"])
+def test_void_csv_prints_the_oracle_bytes(monkeypatch, laws, tmp_path, law):
+    path = tmp_path / "void.csv"
+    (code, got), (_, want) = oracle_run(monkeypatch, ["randset", "void", "--dist", laws[law], "--csv", str(path)])
+    assert code == 0
+    assert first_difference(got, want) is None
+    with open(laws[law], encoding="utf-8") as fh:
+        x = randset.parse_distribution_text(fh.read())
+    table = void_functional(x).table
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("mask", "set", "void_probability"))
+    writer.writerows((m, one_line_mask_set(m, x.n), float(v)) for m, v in enumerate(table))
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert first_difference(fh.read(), expected.getvalue()) is None
+
+
+def test_out_file_holds_the_stdout_bytes(laws, tmp_path, capsys):
+    argv = ["randset", "poisson", "--dist", laws["float10"], "--lam", "1.5"]
+    assert main(argv) == 0
+    out = tmp_path / "doc.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert first_difference(out.read_text(encoding="utf-8"), capsys.readouterr().out) is None

@@ -75,7 +75,7 @@ def test_first_access_loads_only_the_defining_module():
     assert loaded_after("import cmlat; cmlat.chain_lattice") == {"cmlat", "cmlat.errors", "cmlat.lattice", "numpy"}
 
 
-CORE = {"cmlat", "cmlat.cli", "cmlat.errors", "numpy"}
+CORE = {"cmlat", "cmlat._output", "cmlat.cli", "cmlat.errors", "numpy"}
 RANDSET = {"cmlat._scalars", "cmlat._kernel", "cmlat.randset"}
 CM = {"cmlat._scalars", "cmlat._kernel", "cmlat.lattice", "cmlat.cm"}
 

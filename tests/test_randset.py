@@ -28,6 +28,7 @@ from cmlat.randset import (
     is_infinitely_divisible,
     is_m_divisible,
     mask_set,
+    mask_sets,
     parse_distribution_text,
     parse_void_text,
     poisson_union,
@@ -553,6 +554,26 @@ def test_distance_union_vs_poisson_bounded():
 def test_mask_set_notation():
     assert mask_set(0b101, 3) == "{1,3}"
     assert mask_set(0, 3) == "{}"
+
+
+def one_line_mask_set(mask, n):
+    """The set notation as one comprehension: the oracle for mask_sets."""
+    return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40))))
+def test_mask_sets_match_the_one_line_notation(case):
+    n, masks = case
+    masks = [0, *masks, (1 << n) - 1]
+    assert mask_sets(masks, n) == [one_line_mask_set(m, n) for m in masks]
+    assert mask_set(masks[-1], n) == one_line_mask_set(masks[-1], n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mask_sets_of_every_mask(n):
+    assert mask_sets(range(1 << n), n) == [one_line_mask_set(m, n) for m in range(1 << n)]
 
 
 def test_subset_transforms_invert():
