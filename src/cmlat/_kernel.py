@@ -1,27 +1,24 @@
-"""The subset kernel: zeta and Mobius transforms over the 2^n bit masks.
+"""The subset kernel: zeta and Mobius transforms over the 2^n bit masks, and
+the one table form that `randset` and `cm` compute on.
 
-:func:`subset_sums` and :func:`subset_mobius` are the package's only subset
-transform (Yates' per-bit pass); `randset`, `cm` and `scan` call them.  They
+:func:`_transform` is the package's only subset transform (Yates' per-bit
+pass); :func:`subset_sums` and :func:`subset_mobius` are its list form.  They
 live here, apart from `randset`, so that a module which needs the transform
 loads no random-subset code.
 
-A table over the 2^n masks stays one dense array from the parsed document to
-the verdict, in one of two forms:
+A law, void functional, lattice function or weight table is a
+:class:`_Table`: its values are coerced once, to the public tuple of Python
+scalars and to one dense array.  Float values are a float64 array.  Exact
+values are integer numerators over their least common denominator D: int64
+while every partial sum of a transform provably fits (largest magnitude
+times the table length below 2^63), Python ints in an object array
+otherwise.  Verdicts compare the integers.
 
-- float laws: a float64 array;
-- exact laws: integer numerators over their least common denominator D, as
-  int64 while every partial sum of a transform provably fits (largest
-  magnitude times the table length below 2^63), as Python ints in an object
-  array otherwise.  An integral power is num**k over D**k, and verdicts
-  compare the integers.
-
-Python scalars (floats, Fractions) are built only at the API boundary.  The
-pointwise float power calls libm once per entry (`math.pow`) rather than
-numpy's vectorised version: numpy's SIMD pow can differ from libm in the
-last place, and a verdict must not depend on how numpy was built.  The
-divisibility-set scan (`scan._min_q`) does not use it: it raises its grid
-with numpy's `**`, so its q can differ in the last bits from
-`randset.power_exists` at the same alpha.
+The pointwise power and exponential call libm once per entry (`math.pow`,
+`math.exp`): numpy's SIMD pow can differ from libm in the last place, and a
+verdict must not depend on how numpy was built.  The divisibility-set scan
+(`scan._min_q`) raises its grid with numpy's `**` instead, so its q can
+differ in the last bits from `randset.power_exists` at the same alpha.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._scalars import FLOAT, check_power_size, coerce_values
+from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral
 
 _INT64_LIMIT = 1 << 63
 
@@ -49,8 +46,8 @@ def _per_bit(a, ground_n, op):
 
 
 class _Dense(NamedTuple):
-    """A table over all masks: float64 ``values`` (``den`` is None), or
-    integer numerators over the common denominator ``den``."""
+    """A dense table: float64 ``values`` (``den`` is None), or integer
+    numerators over the common denominator ``den``."""
 
     values: np.ndarray
     den: int | None = None
@@ -73,21 +70,52 @@ def _magnitude(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _dense_of(vals, kind) -> _Dense:
-    """Dense form of a tuple from :func:`coerce_values`."""
+def _coerce(values):
+    """The tuple of :func:`coerce_values` and its dense form."""
+    vals, kind = coerce_values(values)
     if kind == FLOAT:
-        return _Dense(np.array(vals, dtype=float))
+        return vals, _Dense(np.array(vals, dtype=float))
     nums, den = _numerators(vals)
-    return _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
+    return vals, _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
+
+
+class _Table:
+    """Base of a frozen dataclass whose field ``_FIELD`` holds a table of
+    values, kept as a tuple and as the dense ``_dense``; ``_HEAD`` names its
+    other field.  A subclass adds only its validation, ``_check()``."""
+
+    _HEAD = "n"
+    _FIELD = "values"
+
+    def __post_init__(self):
+        vals, d = _coerce(getattr(self, self._FIELD))
+        self._keep(d, vals)
+
+    @classmethod
+    def _from_dense(cls, head, d: _Dense):
+        table = cls.__new__(cls)
+        object.__setattr__(table, cls._HEAD, head)
+        table._keep(d, None)
+        return table
+
+    def _keep(self, d, vals):
+        object.__setattr__(self, self._FIELD, tuple(_to_scalars(d)) if vals is None else vals)
+        object.__setattr__(self, "_dense", d)
+        self._check()
+
+    @property
+    def kind(self):
+        return FLOAT if self._dense.den is None else RATIONAL
 
 
 def _transform(a, ground_n, op):
     """One subset transform of a dense array, in a C-contiguous copy.
 
-    Int64 tables cannot overflow: :func:`_int_dtype` admits only tables whose
-    every partial sum fits, and a partial Mobius sum of D**k times a law's
-    containment table raised to k is D**k times a probability of the k-fold
-    union's law, so it lies in [0, D**k], which :func:`_int_power` bounds.
+    Int64 tables cannot overflow: :func:`_coerce` and :func:`_power` make
+    them only under the rule of :func:`_int_dtype`, and a table made by a
+    transform is transformed again only by the inverse (weights to function,
+    void table to law, law to containment table), whose partial sums are
+    partial transforms of the first table.
     """
     return _per_bit(a.copy(order="C"), ground_n, op)
 
@@ -121,18 +149,28 @@ def _float_power(values, alpha) -> np.ndarray:
     return np.fromiter(map(math.pow, (values + 0.0).tolist(), repeat(float(alpha))), float, len(values))
 
 
-def _int_power(d: _Dense, k) -> _Dense:
-    """Exact d**k as numerators over den**k; int64 while the powers fit."""
-    values = d.values
-    check_power_size(len(values), k, d.den.bit_length())
-    if values.dtype == np.int64 and k * _magnitude(values).bit_length() < 63:
+def _exp(values) -> np.ndarray:
+    """exp(values) entry by entry through libm."""
+    return np.fromiter(map(math.exp, values.tolist()), float, len(values))
+
+
+def _power(d: _Dense, alpha) -> _Dense:
+    """d**alpha entry by entry (0**0 = 1).  Exact d and an integral alpha = k
+    give numerators over den**k, refused first by :func:`check_power_size` at
+    the bits of the larger of den and the largest numerator, and int64 while
+    every partial sum of their transform fits; any other pair gives floats."""
+    if d.den is None or not is_integral(alpha):
+        return _Dense(_float_power(_floats(d), alpha))
+    k, values = int(alpha), d.values
+    bits = _magnitude(values).bit_length()
+    check_power_size(len(values), k, max(d.den.bit_length(), bits))
+    if values.dtype == np.int64 and k * bits + len(values).bit_length() <= 63:
         return _Dense(values**k, d.den**k)
     return _Dense(values.astype(object) ** k, d.den**k)
 
 
 def _list_transform(values, ground_n, op):
-    vals, kind = coerce_values(values)
-    d = _dense_of(vals, kind)
+    d = _coerce(values)[1]
     return _to_scalars(_Dense(_transform(d.values, ground_n, op), d.den))
 
 

@@ -385,6 +385,7 @@ def cmd_cmseq_hankel(args):
         args.orders = moments_mod.ORDER_CAP
     alpha = _parse("--alpha", args.alpha, float)
     if alpha > 0 and float(alpha).is_integer():
+        moments_mod._check_order_cap(args.orders)
         seq = moments_mod.two_atom_sequence(args.x, 2 * args.orders - 1).power(int(alpha))
         verdicts = [moments_mod.hankel_psd_check(seq, n) for n in range(2, args.orders + 1)]
         all_psd = all(v.psd for v in verdicts)

@@ -5,7 +5,8 @@ difference  D_{x_k}...D_{x_1} f(x) = sum over subsets J of (-1)^|J| f(x v V_J)
 is nonnegative.  On a finite lattice this is equivalent to nonnegativity of
 the weights p with f(x) = sum_{y >= x} p(y), which is what `is_cm` checks;
 `is_cm_bruteforce` sweeps the raw definition and serves as the independent
-oracle.
+oracle.  Functions and weights are tables of :mod:`cmlat._kernel`, whose
+powers, exponential and subset transform this module computes with.
 """
 
 from __future__ import annotations
@@ -17,16 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _Dense, _numerators, _to_scalars, subset_mobius, subset_sums
-from ._scalars import (
-    FLOAT,
-    RATIONAL,
-    check_power_size,
-    check_tolerance,
-    coerce_values,
-    is_integral,
-    pow_scalar,
-)
+from ._kernel import _coerce, _Dense, _exp, _float_power, _floats, _power, _Table, _to_scalar, _transform
+from ._scalars import RATIONAL, check_tolerance, is_integral
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -49,25 +42,21 @@ BRUTEFORCE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
-class LatticeFunction:
+class LatticeFunction(_Table):
     """Nonnegative function on a lattice, exact-rational or float valued."""
 
     lattice: FiniteLattice
     values: tuple
-    kind: str
 
-    def __init__(self, lattice, values, _clamp=0.0):
-        vals, kind = coerce_values(values)
-        if len(vals) != lattice.n:
-            raise DomainViolation(f"expected {lattice.n} values, got {len(vals)}")
-        if kind == FLOAT and _clamp:
-            vals = tuple(0.0 if -_clamp <= v < 0 else v for v in vals)
-        low = min(vals) if vals else 0
+    _HEAD = "lattice"
+
+    def _check(self):
+        d = self._dense
+        if len(d.values) != self.lattice.n:
+            raise DomainViolation(f"expected {self.lattice.n} values, got {len(d.values)}")
+        low = d.values.min(initial=0)
         if low < 0:
-            raise NegativeValue(f"function value {low} is negative")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "kind", kind)
+            raise NegativeValue(f"function value {_to_scalar(d, low)} is negative")
 
     def max_value(self):
         return max(self.values)
@@ -77,20 +66,18 @@ class LatticeFunction:
 
 
 @dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(_Table):
     """Weights p (possibly negative) with f(x) = sum_{y >= x} p(y)."""
 
     lattice: FiniteLattice
     weights: tuple
-    kind: str
 
-    def __init__(self, lattice, weights):
-        vals, kind = coerce_values(weights)
-        if len(vals) != lattice.n:
-            raise DomainViolation(f"expected {lattice.n} weights, got {len(vals)}")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "weights", vals)
-        object.__setattr__(self, "kind", kind)
+    _HEAD = "lattice"
+    _FIELD = "weights"
+
+    def _check(self):
+        if len(self.weights) != self.lattice.n:
+            raise DomainViolation(f"expected {self.lattice.n} weights, got {len(self.weights)}")
 
 
 @dataclass(frozen=True)
@@ -144,51 +131,49 @@ def mobius_weights(f: LatticeFunction) -> WeightFunction:
     transform, which computes the same weights in O(n 2^n).  Other lattices
     solve the recursion over their order table (:func:`_solve_weights`).
     """
-    lat = f.lattice
+    lat, d = f.lattice, f._dense
     if isinstance(lat, BooleanLattice):
         # top ^ mask reverses the index order, so a superset transform is the
         # subset transform of the reversed values
-        return WeightFunction(lat, subset_mobius(f.values[::-1], lat.ground_n)[::-1])
-    return WeightFunction(lat, _solve_weights(lat._leq, f.values))
+        p = _transform(d.values[::-1], lat.ground_n, np.subtract)[::-1]
+        return WeightFunction._from_dense(lat, d._replace(values=p))
+    return WeightFunction._from_dense(lat, _solve_weights(lat._leq, d))
 
 
-def _solve_weights(leq, values) -> list:
-    """Weights p with values[x] = sum of p(y) over y >= x, for the boolean
-    order table ``leq`` (``leq[x, y]`` iff x <= y), as Python scalars.
+def _python_ints(d: _Dense) -> np.ndarray:
+    """Exact numerators as Python ints: sums over an order table are unbounded."""
+    return d.values if d.den is None else d.values.astype(object)
+
+
+def _solve_weights(leq, d: _Dense) -> _Dense:
+    """Weights p with d[x] = sum of p(y) over y >= x, for the boolean order
+    table ``leq`` (``leq[x, y]`` iff x <= y), in the form of ``d``.
 
     Solved one up-set size at a time: elements of equal size are incomparable,
     and every y > x has a smaller up-set, so a level needs only earlier ones.
     """
-    d = _dense(values)
-    p = np.zeros_like(d.values)
+    values = _python_ints(d)
+    p = np.zeros_like(values)
     size = leq.sum(axis=1)
     order = np.argsort(size, kind="stable")
     for level in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
         strict = leq[level]
         strict[np.arange(len(level)), level] = False
-        p[level] = d.values[level] - _up_sums(strict, p)
-    return _to_scalars(d._replace(values=p))
+        p[level] = values[level] - _up_sums(strict, p)
+    return d._replace(values=p)
 
 
 def reconstruct(p: WeightFunction) -> LatticeFunction:
-    """Function g(x) = sum_{y >= x} p(y); raises NegativeValue if any g < 0."""
-    lat = p.lattice
+    """Function g(x) = sum_{y >= x} p(y); raises NegativeValue if any g < 0.
+    Float values in [-RECONSTRUCT_CLAMP, 0) are rounding and become 0."""
+    lat, d = p.lattice, p._dense
     if isinstance(lat, BooleanLattice):
-        g = subset_sums(p.weights[::-1], lat.ground_n)[::-1]
+        g = _transform(d.values[::-1], lat.ground_n, np.add)[::-1]
     else:
-        d = _dense(p.weights)
-        g = _to_scalars(d._replace(values=_up_sums(lat._leq, d.values)))
-    return LatticeFunction(lat, g, _clamp=RECONSTRUCT_CLAMP)
-
-
-def _dense(values) -> _Dense:
-    """Float values as float64; exact ones as Python-int numerators over their
-    least common denominator, in an object array that :func:`_up_sums` adds
-    without overflow."""
-    if any(isinstance(v, float) for v in values):
-        return _Dense(np.array(values, dtype=float))
-    nums, den = _numerators(values)
-    return _Dense(np.array(nums, dtype=object), den)
+        g = _up_sums(lat._leq, _python_ints(d))
+    if d.den is None:
+        g = np.where((-RECONSTRUCT_CLAMP <= g) & (g < 0), 0.0, g)
+    return LatticeFunction._from_dense(lat, d._replace(values=g))
 
 
 def _up_sums(rows, values):
@@ -215,18 +200,14 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     """
     if tol is not None:
         check_tolerance(tol)
-    p = mobius_weights(f)
-    rational = f.kind == RATIONAL and p.kind == RATIONAL
+    p = mobius_weights(f)  # of the kind of f
+    rational = f.kind == RATIONAL
     if tol is None:
         tol = 0 if rational else DEFAULT_REL_TOL * float(max(f.max_value(), 1e-300))
     worst = min(range(f.lattice.n), key=lambda x: p.weights[x])
     min_weight = p.weights[worst]
-    if rational:
-        bad = min_weight < 0
-        indeterminate = False
-    else:
-        bad = min_weight < -tol
-        indeterminate = not bad and any(-tol <= w <= tol for w in p.weights)
+    bad = min_weight < (0 if rational else -tol)
+    indeterminate = not (rational or bad) and any(-tol <= w <= tol for w in p.weights)
     witness = None
     if bad:
         covering = f.lattice.covers(worst)
@@ -272,19 +253,17 @@ def is_cm_bruteforce(f: LatticeFunction, max_len=None) -> bool:
 
 
 def power(f: LatticeFunction, alpha) -> LatticeFunction:
-    """Pointwise power with 0**0 = 1; stays rational for integral exponents.
+    """Pointwise power with 0**0 = 1; stays rational for integral exponents
+    of exact values, and is float otherwise.
 
-    An exact power whose size would exceed the budget of
-    :func:`check_power_size` raises BudgetExceeded before it is taken.
+    An exact power whose size would exceed the kernel's power budget raises
+    BudgetExceeded before it is taken.
     """
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainViolation(f"exponent must be finite, got {alpha}")
     if alpha < 0:
         raise DomainViolation("exponent must be nonnegative")
-    if f.kind == RATIONAL and is_integral(alpha):
-        bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in f.values)
-        check_power_size(len(f.values), int(alpha), bits)
-    return LatticeFunction(f.lattice, [pow_scalar(v, alpha) for v in f.values])
+    return LatticeFunction._from_dense(f.lattice, _power(f._dense, alpha))
 
 
 def cm_power_threshold_check(f: LatticeFunction, alpha) -> CmVerdict:
@@ -347,24 +326,22 @@ def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
             raise NotASublattice(f"join of {a} and {b} escapes the subset")
         if L.meet(a, b) not in inset:
             raise NotASublattice(f"meet of {a} and {b} escapes the subset")
-    vals, kind = coerce_values([sub_values[a] for a in sub])
+    vals, d = _coerce([sub_values[a] for a in sub])
     fvals = dict(zip(sub, vals))
     # the weights within the sublattice (it is itself a lattice)
-    p = _solve_weights(np.array([[L.leq(a, b) for b in sub] for a in sub], dtype=bool), vals)
-    tol = 0 if kind == RATIONAL else DEFAULT_REL_TOL * float(max(max(vals), 1e-300))
-    worst = min(p)
+    p = _solve_weights(np.array([[L.leq(a, b) for b in sub] for a in sub], dtype=bool), d)
+    exact = d.den is not None
+    tol = 0 if exact else DEFAULT_REL_TOL * float(max(max(vals), 1e-300))
+    worst = p.values.min()
     if worst < -tol:
-        raise NotCmInput(f"function is not c.m. on the sublattice (weight {worst})")
-    weights = [0] * L.n
-    for a, w in zip(sub, p):
-        weights[a] = w
-    g = reconstruct(WeightFunction(L, weights))
+        raise NotCmInput(f"function is not c.m. on the sublattice (weight {_to_scalar(p, worst)})")
+    weights = np.zeros(L.n, dtype=p.values.dtype)
+    weights[sub] = p.values
+    g = reconstruct(WeightFunction._from_dense(L, p._replace(values=weights)))
     for a in sub:
-        if kind == RATIONAL:
-            same = g.values[a] == fvals[a]
-        else:
-            same = abs(g.values[a] - fvals[a]) <= 1e-12 * max(1.0, abs(fvals[a]))
-        _ensure(same, f"extension changed the value at {a}: {g.values[a]} != {fvals[a]}")
+        slack = 0 if exact else 1e-12 * max(1.0, abs(fvals[a]))
+        changed = f"extension changed the value at {a}: {g.values[a]} != {fvals[a]}"
+        _ensure(abs(g.values[a] - fvals[a]) <= slack, changed)
     return g
 
 
@@ -376,10 +353,10 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
     """
     if m < 1:
         raise DomainViolation("m must be a positive integer")
-    if any(v < 0 or v > 1 for v in f.values):
+    if f.max_value() > 1:
         raise ValueOutOfUnitInterval("accompaniment needs values in [0, 1]")
-    vals = [math.exp(-m * (1.0 - math.pow(float(v), 1.0 / m))) for v in f.values]
-    return LatticeFunction(f.lattice, vals)
+    root = _float_power(_floats(f._dense), 1.0 / m)
+    return LatticeFunction._from_dense(f.lattice, _Dense(_exp(-float(m) * (1.0 - root))))
 
 
 def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._scalars import RATIONAL, coerce_values, is_integral, pow_scalar
-from .errors import DomainViolation, InsufficientLength, SearchBudgetExceeded, _ensure
+from .errors import BudgetExceeded, DomainViolation, InsufficientLength, SearchBudgetExceeded, _ensure
 
 PSD_OK_REL = 1e-10
 PSD_BAD_REL = 1e-8
@@ -191,6 +191,14 @@ class HankelCertificate:
     source: str = "two-atom"
 
 
+def _check_order_cap(order_cap):
+    """A sweep over orders 2..order_cap needs one order and at most ORDER_CAP."""
+    if order_cap < 2:
+        raise DomainViolation(f"need orders up to at least 2, got {order_cap}")
+    if order_cap > ORDER_CAP:
+        raise BudgetExceeded(f"orders up to {order_cap} exceed the cap {ORDER_CAP}")
+
+
 def two_atom_power_counterexample(x, alpha, order_cap: int = ORDER_CAP) -> HankelCertificate:
     """Sweep Hankel orders until ((1 + x^k)/2)^alpha fails positivity.
 
@@ -204,6 +212,7 @@ def two_atom_power_counterexample(x, alpha, order_cap: int = ORDER_CAP) -> Hanke
         raise DomainViolation(f"alpha must be finite, got {alpha}")
     if alpha <= 0 or is_integral(alpha):
         raise DomainViolation("alpha must be positive and non-integer")
+    _check_order_cap(order_cap)
     for order in range(2, order_cap + 1):
         seq = two_atom_sequence(float(x), 2 * order - 1).power(float(alpha))
         verdict = hankel_psd_check(seq, order)

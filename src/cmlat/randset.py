@@ -12,8 +12,8 @@ over one denominator, and every transform is one pass of the subset kernel
 (:mod:`cmlat._kernel`, whose :func:`subset_sums` and :func:`subset_mobius`
 this module re-exports).  Python scalars (floats, Fractions) are built only at
 the API boundary: the ``probs``, ``table`` and ``q_values`` tuples.  The
-exponential of :func:`poisson_union` calls libm once per entry
-(`math.exp`), as the kernel's float power does.
+pointwise powers and the exponential of :func:`poisson_union` are the
+kernel's, which call libm once per entry.
 """
 
 from __future__ import annotations
@@ -26,19 +26,19 @@ import numpy as np
 
 from ._kernel import (
     _Dense,
-    _dense_of,
-    _float_power,
+    _exp,
     _floats,
     _int_dtype,
-    _int_power,
     _numerators,
+    _power,
+    _Table,
     _to_scalar,
     _to_scalars,
     _transform,
     subset_mobius,
     subset_sums,
 )
-from ._scalars import FLOAT, RATIONAL, check_tolerance, coerce_values, is_integral
+from ._scalars import RATIONAL, check_tolerance, coerce_values, is_integral
 from .errors import (
     DomainViolation,
     FormatError,
@@ -79,49 +79,36 @@ def mask_set(mask, n) -> str:
 
 
 @dataclass(frozen=True)
-class RandomSubset:
+class RandomSubset(_Table):
     """Distribution over subsets of [n], indexed by mask."""
 
     n: int
     probs: tuple
 
-    def __init__(self, n, probs):
-        _check_ground(n)
+    _FIELD = "probs"
+
+    def __post_init__(self):
         try:
-            vals, kind = coerce_values(probs)
+            super().__post_init__()
         except DomainViolation as exc:  # a non-finite mass
             raise InvalidProbabilityVector(str(exc)) from exc
-        self._fill(n, _dense_of(vals, kind), vals)
 
-    @classmethod
-    def _from_dense(cls, n, d: _Dense):
-        x = cls.__new__(cls)
+    def _check(self):
+        n, d = self.n, self._dense
         _check_ground(n)
-        x._fill(n, d, None)
-        return x
-
-    def _fill(self, n, d, vals):
         if len(d.values) != 1 << n:
             raise InvalidProbabilityVector(f"expected {1 << n} masses, got {len(d.values)}")
         low = d.values.min()
         if low < 0:
             raise InvalidProbabilityVector(f"negative mass {_to_scalar(d, low)}")
-        vals = tuple(_to_scalars(d)) if vals is None else vals
         if d.den is not None:
             total = int(d.values.sum())
             if total != d.den:
                 raise InvalidProbabilityVector(f"masses sum to {Fraction(total, d.den)}, not 1")
         else:
-            total = sum(vals)  # left to right, as the masses are listed
+            total = sum(self.probs)  # left to right, as the masses are listed
             if not abs(total - 1.0) <= SUM_TOL:  # a NaN total fails too
                 raise InvalidProbabilityVector(f"masses sum to {total!r}, not 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "probs", vals)
-        object.__setattr__(self, "_dense", d)
-
-    @property
-    def kind(self):
-        return FLOAT if self._dense.den is None else RATIONAL
 
     def containment_table(self):
         """P{X subset B} for every mask B (the subset-sum transform)."""
@@ -140,33 +127,19 @@ def _containment(x: RandomSubset) -> _Dense:
 
 
 @dataclass(frozen=True)
-class VoidFunctional:
+class VoidFunctional(_Table):
     """Table V(K) = P{X and K disjoint} over all masks K; V(empty) = 1."""
 
     n: int
     table: tuple
 
-    def __init__(self, n, table):
-        vals, kind = coerce_values(table)
-        self._fill(n, _dense_of(vals, kind), vals)
+    _FIELD = "table"
 
-    @classmethod
-    def _from_dense(cls, n, d: _Dense):
-        v = cls.__new__(cls)
-        v._fill(n, d, None)
-        return v
-
-    def _fill(self, n, d, vals):
-        if len(d.values) != 1 << n:
-            raise DomainViolation(f"expected {1 << n} entries, got {len(d.values)}")
+    def _check(self):
+        d = self._dense
+        if len(d.values) != 1 << self.n:
+            raise DomainViolation(f"expected {1 << self.n} entries, got {len(d.values)}")
         _check_void(d)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", tuple(_to_scalars(d)) if vals is None else vals)
-        object.__setattr__(self, "_dense", d)
-
-    @property
-    def kind(self):
-        return FLOAT if self._dense.den is None else RATIONAL
 
     def capacity(self):
         """Capacity functional T = 1 - V."""
@@ -257,9 +230,8 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     if alpha < 0:
         raise DomainViolation("alpha must be nonnegative")
     check_tolerance(tol)
-    w = _containment(x)
-    exact = w.den is not None and is_integral(alpha)
-    wa = _int_power(w, int(alpha)) if exact else _Dense(_float_power(_floats(w), alpha))
+    wa = _power(_containment(x), alpha)
+    exact = wa.den is not None
     q = _Dense(_transform(wa.values, x.n, np.subtract), wa.den)
     worst = int(np.argmin(q.values))
     low = q.values[worst]
@@ -289,11 +261,8 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
     if m < 1 or not is_integral(m):
         raise DomainViolation("m must be a positive integer")
     w = _containment(x)
-    v = _Dense(w.values[::-1], w.den)
-    if v.den is not None:
-        vm = _int_power(v, int(m))
-    else:
-        vm = _Dense(_float_power(v.values / v.values[0], int(m)))
+    v = w.values[::-1]
+    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), int(m))
     _check_void(vm)
     return _invert(x.n, vm, MASS_TOL)
 
@@ -311,8 +280,7 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     if lam <= 0:
         raise DomainViolation("lambda must be positive")
     v = _floats(_containment(x))[::-1]
-    exponent = float(lam) * (v - v[0])
-    return _invert(x.n, _Dense(np.fromiter(map(math.exp, exponent.tolist()), float, len(v))), MASS_TOL)
+    return _invert(x.n, _Dense(_exp(float(lam) * (v - v[0]))), MASS_TOL)
 
 
 def singleton_set(*ps) -> RandomSubset:

@@ -573,10 +573,15 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
     on a grid for some ladder delta (largest first: the negativity windows
     shrink as eps does, so eps and delta are searched jointly); the reported
     delta is the largest value certifying the final distribution.  Every
-    delta tried counts against CERTIFY_BUDGET.
+    delta tried counts against CERTIFY_BUDGET.  ``grid_step`` must be finite and
+    in [1/GRID_POINT_CAP, 1/2): every unit window holds points, but not too many.
     """
     if n < 4 or not 2 <= k <= n - 2:
         raise DomainViolation("need n >= 4 and 2 <= k <= n - 2")
+    if not (math.isfinite(grid_step) and 0 < grid_step < 0.5):
+        raise DomainViolation(f"grid step must be finite and in (0, 1/2), got {grid_step}")
+    if grid_step < 1 / GRID_POINT_CAP:
+        raise BudgetExceeded(f"grid step {grid_step} puts more than {GRID_POINT_CAP} points in a unit window")
     calls = 0
     ladder = DELTA_LADDER[:COARSE_LADDER_LEN]
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from cmlat.lattice import (
     write_lattice_file,
 )
 from cmlat import randset
-from cmlat.errors import InvariantViolation
+from cmlat.errors import CmlatError, InvariantViolation
 from cmlat.randset import RandomSubset, void_functional, write_distribution_file
 
 
@@ -503,6 +504,16 @@ def test_schur_with_huge_coordinates_exits_two(capsys):
         (["lattice", "make", "--kind", "chain:0", "--out-lattice", "{fn}.lat"], "DomainViolation:"),
         (["lattice", "make", "--kind", "boolean:13", "--out-lattice", "{fn}.lat"],
          "SizeLimitExceeded: 8192 elements exceeds cap 4096"),
+        # a step outside [1/GRID_POINT_CAP, 1/2) is refused before any grid is built
+        *[(["scan", "multi-interval", "--n", "5", "--k", "3", "--step", step], "DomainViolation: grid step")
+          for step in ("0", "-0.001", "nan", "inf", "0.5", "5")],
+        *[(["scan", "multi-interval", "--n", "5", "--k", "3", "--step", step], "BudgetExceeded: grid step")
+          for step in ("1e-7", "1e-300")],
+        # a sweep over no order checks nothing; one past ORDER_CAP is refused before it is built
+        *[(["cmseq", "hankel", "--x", "0.5", "--alpha", alpha, "--orders", orders], "DomainViolation: need orders")
+          for alpha in ("2", "1.5") for orders in ("1", "0", "-3")],
+        *[(["cmseq", "hankel", "--x", "0.5", "--alpha", alpha, "--orders", orders], "BudgetExceeded: orders")
+          for alpha in ("2", "1.5") for orders in ("65", "100000")],
     ],
 )
 def test_out_of_domain_parameters_are_typed_errors(tmp_path, capsys, argv, prefix):
@@ -611,16 +622,27 @@ def argv_strategy(d):
         argv(["randset", "dist"], opt("--dist", DISTS), opt("--dist2", DISTS)),
         argv(["scan", "s-set"], opt("--dist", DISTS), opt("--T", st.integers(0, 5).map(str)), opt("--step", REALS)),
         argv(["scan", "multi-interval"], opt("--n", st.integers(3, 6).map(str)),
-             opt("--k", st.integers(1, 4).map(str))),
+             opt("--k", st.integers(1, 4).map(str)), opt("--step", REALS)),
         argv(["scan", "schur"], opt("--x", points), opt("--alpha", REALS)),
         argv(["approx", "psi"], st.one_of(opt("--m", st.integers(1, 50).map(str)), st.just(["--m-list", "2,10"]))),
         argv(["cmseq", "hankel"], opt("--x", st.sampled_from(["0.3", "0.5", "0.9"])), opt("--alpha", REALS),
-             st.one_of(st.just([]), opt("--orders", st.integers(2, 5).map(str)))),
+             st.one_of(st.just([]), opt("--orders", st.sampled_from([-3, 0, 1, 2, 3, 4, 5]).map(str)))),
     )
 
 
 def reject_constant(name):
     raise ValueError(f"not strict JSON: {name}")
+
+
+def error_classes(cls=CmlatError):
+    for sub in cls.__subclasses__():
+        yield sub.__name__
+        yield from error_classes(sub)
+
+
+# an input error, a typed library error, or an OSError's "[Errno n] ..." text;
+# never "unexpected ..." (a defect) nor a bare numpy ValueError message
+ERROR_LINE = re.compile(r"cmlat: (input error|%s): |cmlat: \[Errno \d+\] " % "|".join(error_classes()))
 
 
 @settings(max_examples=120, deadline=None)
@@ -633,7 +655,7 @@ def test_every_exit_is_an_envelope_or_one_error_line(argv_docs, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("cmlat: ") and err.getvalue().count("\n") == 1
+        assert ERROR_LINE.match(err.getvalue()) and err.getvalue().count("\n") == 1, err.getvalue()
         return
     doc = json.loads(out.getvalue(), parse_constant=reject_constant)
     assert set(doc) == {"command", "config", "result"}

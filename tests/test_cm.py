@@ -4,6 +4,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat import cm as cm_module
+from cmlat._kernel import _coerce, _to_scalars, subset_mobius, subset_sums
+from cmlat._scalars import POWER_BIT_BUDGET, is_integral, pow_scalar
 from cmlat.cm import (
     CmVerdict,
     LatticeFunction,
@@ -31,6 +34,7 @@ from cmlat.cm import (
     sharpness_witness,
 )
 from cmlat.errors import (
+    BudgetExceeded,
     DomainViolation,
     FormatError,
     NegativeValue,
@@ -41,6 +45,7 @@ from cmlat.errors import (
     ValueOutOfUnitInterval,
 )
 from cmlat.lattice import (
+    BooleanLattice,
     boolean_lattice,
     catalog,
     chain_lattice,
@@ -502,9 +507,9 @@ def test_extend_weights_match_reference_recursion():
             ]
             for values in cases:
                 want = reference_sublattice_weights(lat, values)
-                got = cm_module._solve_weights(
-                    np.array([[lat.leq(a, b) for b in sub] for a in sub]), [values[a] for a in sub]
-                )
+                got = _to_scalars(cm_module._solve_weights(
+                    np.array([[lat.leq(a, b) for b in sub] for a in sub]), _coerce([values[a] for a in sub])[1]
+                ))
                 assert got == [want[a] for a in sub], (lat.name, sub)
                 if isinstance(got[0], float):
                     assert [v.hex() for v in got] == [want[a].hex() for a in sub], (lat.name, sub)
@@ -658,3 +663,100 @@ def test_stored_kind_matches_a_rescan_of_the_values(values):
         assert p.kind == _rescanned_kind(p.weights)
     for seq in [MomentSequence(values), MomentSequence(values).power(3)]:
         assert seq.kind == _rescanned_kind(seq.values)
+
+
+# --- the dense route against the per-entry routes ------------------------------------
+# power, mobius_weights, reconstruct and poisson_accompany compute on the
+# kernel's dense tables; the oracles are the per-entry scalar loops and the
+# list transforms they replaced, and must agree bitwise.
+
+
+def scalar_keys(values):
+    """Floats by their bits (0.0 and -0.0 differ), exact values as Fractions."""
+    return [v.hex() if isinstance(v, float) else Fraction(v) for v in values]
+
+
+def oracle_power(f, alpha):
+    """pow_scalar per entry; float unless the values are exact and alpha integral."""
+    values = [pow_scalar(v, alpha) for v in f.values]
+    return values if f.kind == "rational" and is_integral(alpha) else [float(v) for v in values]
+
+
+def oracle_weights(f):
+    lat = f.lattice
+    if isinstance(lat, BooleanLattice):
+        return subset_mobius(list(f.values[::-1]), lat.ground_n)[::-1]
+    p = reference_sublattice_weights(lat, dict(enumerate(f.values)))
+    return [p[x] for x in lat.elements]
+
+
+def oracle_reconstruct(p):
+    lat = p.lattice
+    if isinstance(lat, BooleanLattice):
+        g = subset_sums(list(p.weights[::-1]), lat.ground_n)[::-1]
+    else:
+        g = [sum(p.weights[y] for y in lat.elements if lat.leq(x, y)) for x in lat.elements]
+    return [0.0 if isinstance(v, float) and -cm_module.RECONSTRUCT_CLAMP <= v < 0 else v for v in g]
+
+
+def oracle_accompany(f, m):
+    return [math.exp(-m * (1.0 - math.pow(float(v), 1.0 / m))) for v in f.values]
+
+
+DENSE_LATTICES = [*catalog(max_size=16), *(boolean_lattice(k) for k in range(1, 7))]
+VALUE_KINDS = {
+    "exact": lambda rng: Fraction(rng.randint(0, 12), rng.randint(1, 4)),
+    "float": lambda rng: rng.uniform(0.0, 2.0),
+    "unit exact": lambda rng: Fraction(rng.randint(0, 6), 6),
+    "unit float": lambda rng: rng.choice([0.0, 1.0, rng.random()]),
+    # squares near 2^62: int64 holds them, but not their transform's sums
+    "large exact": lambda rng: rng.randrange(1 << 30, 1 << 31),
+}
+
+
+@pytest.mark.parametrize("lat", DENSE_LATTICES, ids=lambda lat: f"{lat.name}-{lat.n}")
+@pytest.mark.parametrize("kind", VALUE_KINDS)
+def test_dense_route_matches_the_per_entry_route(lat, kind):
+    rng = random.Random(f"{lat.name}-{lat.n}-{kind}")
+    for _ in range(4):
+        f = LatticeFunction(lat, [VALUE_KINDS[kind](rng) for _ in lat.elements])
+        for alpha in (0, 1, 2, 3, 2.0, 0.5, 1.7):
+            g = power(f, alpha)
+            want = oracle_power(f, alpha)
+            assert scalar_keys(g.values) == scalar_keys(want), alpha
+            assert g.kind == LatticeFunction(lat, want).kind
+            p = mobius_weights(g)
+            assert scalar_keys(p.weights) == scalar_keys(oracle_weights(g)), alpha
+            assert p.kind == g.kind
+            if min(p.weights) >= 0:
+                assert scalar_keys(reconstruct(p).values) == scalar_keys(oracle_reconstruct(p)), alpha
+        w = WeightFunction(lat, [abs(VALUE_KINDS[kind](rng)) for _ in lat.elements])
+        assert scalar_keys(reconstruct(w).values) == scalar_keys(oracle_reconstruct(w))
+        if kind.startswith("unit"):
+            for m in range(1, 6):
+                acc = poisson_accompany(f, m)
+                assert acc.kind == "float"
+                assert scalar_keys(acc.values) == scalar_keys(oracle_accompany(f, m)), m
+
+
+def test_power_of_an_all_zero_exact_function_follows_the_exponent():
+    f = LatticeFunction(B2, [0, 0, 0, 0])
+    half = power(f, 0.5)
+    assert half.kind == "float" and scalar_keys(half.values) == scalar_keys([0.0] * 4)
+    assert power(f, 0).kind == "rational" and power(f, 0).values == (1,) * 4
+    assert power(f, 2).kind == "rational" and power(f, 2).values == (0,) * 4
+
+
+def test_exact_power_budget_counts_the_larger_of_numerator_and_denominator():
+    big = LatticeFunction(chain_lattice(2), [2**64, 1])  # 65-bit numerators over 1
+    over = POWER_BIT_BUDGET // (2 * 65) + 1
+    with pytest.raises(BudgetExceeded, match=re.escape(f"about {Decimal(2 * 65 * over):.3g} bits")):
+        power(big, over)
+    assert power(big, 1000).values == (2**64000, 1)
+    # sixteen small fractions over one 65-bit common denominator
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    bits = math.prod(primes).bit_length()
+    f = LatticeFunction(boolean_lattice(4), [Fraction(1, p) for p in primes])
+    with pytest.raises(BudgetExceeded):
+        power(f, POWER_BIT_BUDGET // (16 * bits) + 1)
+    assert power(f, 100).values == tuple(Fraction(1, p**100) for p in primes)
