@@ -14,23 +14,23 @@ while every partial sum of a transform provably fits (largest magnitude
 times the table length below 2^63), Python ints in an object array
 otherwise.  Verdicts compare the integers.
 
-The pointwise power and exponential call libm once per entry (`math.pow`,
-`math.exp`): numpy's SIMD pow can differ from libm in the last place, and a
-verdict must not depend on how numpy was built.  The divisibility-set scan
-(`scan._min_q`) raises its grid with numpy's `**` instead, so its q can
-differ in the last bits from `randset.power_exists` at the same alpha.
+Every float power is libm's ``pow``: :func:`_float_power` is one
+``np.float_power`` call, which numpy computes with ``pow`` (it has no SIMD
+loop for it, unlike ``**``), so the scan and `randset.power_exists` get the
+same q.  The exponential is libm's ``exp``.  A float that overflows in
+:func:`_floats` or :func:`_float_power` raises DomainViolation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integral
+from .errors import DomainViolation
 
 _INT64_LIMIT = 1 << 63
 
@@ -140,13 +140,20 @@ def _floats(d: _Dense) -> np.ndarray:
         return d.values
     if d.values.dtype == np.int64 and d.den < 1 << 53 and _magnitude(d.values) < 1 << 53:
         return d.values / d.den  # both operands exact in binary64: one rounding
-    return np.array([v / d.den for v in d.values.tolist()])  # Python int division rounds once
+    try:
+        return np.array([v / d.den for v in d.values.tolist()])  # Python int division rounds once
+    except OverflowError:
+        raise DomainViolation("a value exceeds the float range") from None
 
 
+@np.errstate(over="raise")
 def _float_power(values, alpha) -> np.ndarray:
-    """values**alpha entry by entry through libm (0**0 = 1)."""
-    # + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0 as 0**k is
-    return np.fromiter(map(math.pow, (values + 0.0).tolist(), repeat(float(alpha))), float, len(values))
+    """values**alpha through libm's pow (0**0 = 1), for a scalar alpha or a
+    column of exponents; + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0."""
+    try:
+        return np.float_power(values + 0.0, np.asarray(alpha, dtype=float))
+    except (FloatingPointError, OverflowError):
+        raise DomainViolation("a power or its exponent exceeds the float range") from None
 
 
 def _exp(values) -> np.ndarray:
@@ -155,10 +162,13 @@ def _exp(values) -> np.ndarray:
 
 
 def _power(d: _Dense, alpha) -> _Dense:
-    """d**alpha entry by entry (0**0 = 1).  Exact d and an integral alpha = k
-    give numerators over den**k, refused first by :func:`check_power_size` at
-    the bits of the larger of den and the largest numerator, and int64 while
-    every partial sum of their transform fits; any other pair gives floats."""
+    """d**alpha entry by entry (0**0 = 1), alpha finite and >= 0.  Exact d
+    and an integral alpha = k give numerators over den**k, refused first by
+    :func:`check_power_size` at the bits of the larger of den and the largest
+    numerator, and int64 while every partial sum of their transform fits;
+    any other pair gives floats."""
+    if isinstance(alpha, float) and not math.isfinite(alpha) or alpha < 0:
+        raise DomainViolation(f"exponent must be finite and nonnegative, got {alpha}")
     if d.den is None or not is_integral(alpha):
         return _Dense(_float_power(_floats(d), alpha))
     k, values = int(alpha), d.values

@@ -173,32 +173,38 @@ def two_point_set(m: int) -> RandomSubset:
     )
 
 
-def _rounded_power(k: int, m: int) -> float:
-    """(1 - 1/k)^m rounded to the nearest float, as ``float(Fraction)`` rounds it.
+def _rounded_sum(terms, cut=0):
+    """(s rounded to the nearest float, s >= cut) for s = sum c (1 - 1/k)^m
+    over ``terms`` (c, k, m) with m >= 1, as ``float(Fraction)`` rounds s.
 
-    Evaluated as exp(m log(1 - 1/k)) in `Decimal` with an error interval; the
-    precision doubles until both ends of the interval round to one float.  A
-    value on a tie between two floats never settles, so past
-    ``ROUNDED_POWER_DIGITS`` the exact power decides.
-    """
-    if k == 1:
-        return 0.0
+    Each power is exp(m log(1 - 1/k)) in `Decimal`.  Each operation errs by at
+    most half a unit u in the last digit, so |y - m log(1 - 1/k)| <= u (m + |y|),
+    and exp makes that a relative error; err doubles the bound, for the sum and
+    the interval's ends.  The precision doubles until both ends round to one
+    float on one side of ``cut``; a value on a tie between two floats never
+    settles, so past ``ROUNDED_POWER_DIGITS`` the exact sum decides."""
     digits = 40
     while digits <= ROUNDED_POWER_DIGITS:
         with localcontext() as ctx:
             ctx.prec = digits
-            y = (Decimal(k - 1) / k).ln() * m
-            value = y.exp()
-            # each operation errs by at most half a unit u in the last digit:
-            # |y - m log(1 - 1/k)| <= u (m + |y|), and exp turns that into a
-            # relative error; err is twice the bound, for the two products below
             u = Decimal(10) ** (1 - digits)
-            err = 2 * u * (m + abs(y) + 1)
-            lo, hi = float(value * (1 - err)), float(value * (1 + err))
-        if lo == hi:
-            return lo
+            total = err = Decimal(0)
+            for c, k, m in terms:
+                if k > 1:  # else the power is 0
+                    y = (Decimal(k - 1) / k).ln() * m
+                    v = y.exp()
+                    total, err = total + c * v, err + 2 * u * (m + abs(y) + 2) * v
+            lo, hi = total - err, total + err
+        if float(lo) == float(hi) and (lo >= cut or hi < cut):
+            return float(lo), bool(lo >= cut)
         digits *= 2
-    return float(Fraction(k - 1, k) ** m)
+    exact = sum(c * Fraction(k - 1, k) ** m for c, k, m in terms)
+    return float(exact), exact >= cut
+
+
+def _rounded_power(k: int, m: int) -> float:
+    """(1 - 1/k)^m rounded to the nearest float, as ``float(Fraction)`` rounds it."""
+    return _rounded_sum([(1, k, m)])[0]
 
 
 @cache
@@ -231,8 +237,9 @@ def lower_bound_witness(m: int) -> ApproxReport:
     # V(a) = V(b) = 1 - 1/(2m)
     single = _rounded_power(2 * m, m)
     slack = _rounded_power(m, m) - single * single
-    separation = (1 - 1 / (2 * m)) ** (2 * m) - (1 - 1 / m) ** m
     bound = 1 / (4 * math.e * m)
+    # the difference cancels about log10(m) digits, which float64 cannot spare
+    separation, holds = _rounded_sum([(1, 2 * m, 2 * m), (-1, m, m)], bound)
     gap = sup_gap(m)
     notes = [
         "necessary condition V(ab) >= V(a) V(b) is violated by the m-fold union",
@@ -247,7 +254,7 @@ def lower_bound_witness(m: int) -> ApproxReport:
         necessary_condition_slack=slack,
         separation=separation,
         separation_bound=bound,
-        separation_holds=separation >= bound,
+        separation_holds=holds,
         lower_constant=LOWER_BOUND_CONSTANT,
         m_threshold=separation_threshold(),
         notes=tuple(notes),

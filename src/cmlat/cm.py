@@ -257,12 +257,8 @@ def power(f: LatticeFunction, alpha) -> LatticeFunction:
     of exact values, and is float otherwise.
 
     An exact power whose size would exceed the kernel's power budget raises
-    BudgetExceeded before it is taken.
+    BudgetExceeded before it is taken; a float overflow, DomainViolation.
     """
-    if isinstance(alpha, float) and not math.isfinite(alpha):
-        raise DomainViolation(f"exponent must be finite, got {alpha}")
-    if alpha < 0:
-        raise DomainViolation("exponent must be nonnegative")
     return LatticeFunction._from_dense(f.lattice, _power(f._dense, alpha))
 
 

@@ -68,8 +68,6 @@ class MomentSequence:
     def power(self, alpha):
         """Pointwise power; the generating atoms are dropped (powers of moment
         sequences are generally not moment sequences)."""
-        if alpha < 0:
-            raise DomainViolation("exponent must be nonnegative")
         return MomentSequence([pow_scalar(v, alpha) for v in self.values])
 
     def pointwise_product(self, other):

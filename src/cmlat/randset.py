@@ -13,7 +13,7 @@ over one denominator, and every transform is one pass of the subset kernel
 this module re-exports).  Python scalars (floats, Fractions) are built only at
 the API boundary: the ``probs``, ``table`` and ``q_values`` tuples.  The
 pointwise powers and the exponential of :func:`poisson_union` are the
-kernel's, which call libm once per entry.
+kernel's, which use libm's ``pow`` and ``exp``.
 """
 
 from __future__ import annotations
@@ -225,10 +225,6 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     so exact integer exponents classify as existing.  An exact law and an
     integral alpha give exact Fractions; any other pair gives floats.
     """
-    if isinstance(alpha, float) and not math.isfinite(alpha):
-        raise DomainViolation(f"alpha must be finite, got {alpha}")
-    if alpha < 0:
-        raise DomainViolation("alpha must be nonnegative")
     check_tolerance(tol)
     wa = _power(_containment(x), alpha)
     exact = wa.den is not None

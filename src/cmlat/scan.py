@@ -6,6 +6,7 @@ This module scans min_A q over an alpha grid to map the interval components
 of S_X, bounds root counts by coefficient sign changes, verifies the
 simplex-form negativity/boundary facts behind the singleton-support case,
 and constructs distributions whose S_X provably has many components.
+Every power b^alpha is libm's ``pow``, a grid's through `_kernel._float_power`.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _floats, _per_bit, subset_sums
+from ._kernel import _float_power, _floats, _per_bit, subset_sums
 from ._scalars import coerce_values
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
-from .randset import RandomSubset, _containment
+from .randset import RandomSubset, _check_ground, _containment
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -73,15 +74,9 @@ class ExponentialPolynomial:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def grid_values(self, alphas: np.ndarray) -> np.ndarray:
-        if not self.terms:
-            return np.zeros_like(alphas)
-        coefs = np.array([float(c) for c, _ in self.terms])
-        bases = np.array([float(b) for _, b in self.terms])
-        keep = bases > 0
-        coefs, bases = coefs[keep], bases[keep]
-        if not len(coefs):
-            return np.zeros_like(alphas)
-        return coefs @ np.exp(np.outer(np.log(bases), alphas))
+        # copied to contiguous rows: the product then rounds as _SizeClassLaw.grid's does
+        coefs, bases = np.array(self.terms, dtype=float).reshape(-1, 2).T.copy()
+        return coefs @ _float_power(bases[:, None], alphas)
 
 
 def q_poly(x: RandomSubset, a_mask: int) -> ExponentialPolynomial:
@@ -163,7 +158,7 @@ def _min_q(w, alphas):
     n = len(w).bit_length() - 1
     if n < 2:
         return np.zeros(len(alphas)), np.zeros(len(alphas), dtype=int)
-    q = _per_bit(w ** alphas[:, None], n, np.subtract)
+    q = _per_bit(_float_power(w, alphas[:, None]), n, np.subtract)
     # q over smaller sets is monotonicity, always >= 0
     q[:, [0] + [1 << i for i in range(n)]] = np.inf
     masks = np.argmin(q, axis=1)
@@ -446,24 +441,19 @@ class _SizeClassLaw:
         self.size_masses = size_masses
         # w_a summed exactly over the charged sizes, then rounded once
         self.w = [float(sum(math.comb(a, s) * m for s, m in charged if s <= a)) for a in range(n, 0, -1)]
-        self.log_w = np.log(self.w)
         self.coefs = {
-            b: [(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)]
+            b: np.array([(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)])
             for b in range(2, n + 1)
         }
-        self.coef_rows = {b: np.array(c) for b, c in self.coefs.items()}
 
     def value(self, b, alpha: float) -> float:
         """r_b(alpha): an exactly rounded sum of libm powers."""
-        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b], self.w[self.n - b :]))
+        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b].tolist(), self.w[self.n - b :]))
 
     def grid(self, alphas, sizes) -> np.ndarray:
         """r_b over the grid ``alphas``, one row per b in ``sizes``."""
-        powers = np.exp(np.outer(self.log_w, alphas))
-        rows = np.empty((len(sizes), len(alphas)))
-        for i, b in enumerate(sizes):
-            rows[i] = self.coef_rows[b] @ powers[self.n - b :]
-        return rows
+        powers = _float_power(np.array(self.w)[:, None], alphas)
+        return np.array([self.coefs[b] @ powers[self.n - b :] for b in sizes])
 
 
 def _grid(lo, hi, step, include_hi=False):
@@ -575,9 +565,11 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
     delta is the largest value certifying the final distribution.  Every
     delta tried counts against CERTIFY_BUDGET.  ``grid_step`` must be finite and
     in [1/GRID_POINT_CAP, 1/2): every unit window holds points, but not too many.
+    An n above the ground-set cap raises SizeLimitExceeded before the search.
     """
     if n < 4 or not 2 <= k <= n - 2:
         raise DomainViolation("need n >= 4 and 2 <= k <= n - 2")
+    _check_ground(n)  # before the search, which ends in a table of 2^n masses
     if not (math.isfinite(grid_step) and 0 < grid_step < 0.5):
         raise DomainViolation(f"grid step must be finite and in (0, 1/2), got {grid_step}")
     if grid_step < 1 / GRID_POINT_CAP:

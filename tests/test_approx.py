@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -209,3 +210,31 @@ def test_rounded_power_is_the_rounded_exact_power():
     for m in range(1, 2001):
         for k in (m, 2 * m):
             assert _rounded_power(k, m) == float(Fraction(k - 1, k) ** m), (k, m)
+
+
+# --- the separation, from one Decimal interval ---------------------------------
+
+
+def _separation_60_digits(m):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (1 - Decimal(1) / (2 * m)) ** (2 * m) - (1 - Decimal(1) / m) ** m
+
+
+@pytest.mark.parametrize("m", [5 * 10**5, 10**6, 10**9])
+def test_separation_holds_where_the_float_difference_cancelled(m):
+    """The float difference read separation_holds: false at m = 5e5 and a
+    negative separation at m = 1e9; the true margins are +2.3e-13 and +5.7e-20."""
+    rep = lower_bound_witness(m)
+    want = _separation_60_digits(m)
+    assert rep.separation_holds
+    assert abs(Decimal(rep.separation) - want) <= Decimal("1e-15") * want
+    assert rep.separation >= rep.separation_bound
+
+
+def test_separation_is_the_rounded_exact_difference():
+    for m in list(range(1, 300)) + [1000, 4096, 10**4]:
+        exact = Fraction(2 * m - 1, 2 * m) ** (2 * m) - Fraction(m - 1, m) ** m
+        rep = lower_bound_witness(m)
+        assert rep.separation == float(exact), m
+        assert rep.separation_holds == (exact >= rep.separation_bound), m

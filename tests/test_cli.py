@@ -478,6 +478,36 @@ def test_non_finite_rate_and_hankel_exponent_exit_two(capsys, value):
     assert "DomainViolation" in err
 
 
+@pytest.mark.parametrize("value", ["1e300", "1e400"])
+def test_cm_power_overflow_is_one_typed_line(tmp_path, value):
+    """An exact value whose float power overflows exits 2 with one typed line,
+    no traceback and no numpy warning, in a fresh process."""
+    import subprocess
+    import sys
+
+    fn = tmp_path / "f.txt"
+    fn.write_text(f"lattice chain:2\n0 {value}\n1 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmlat", "cm", "power", "--lattice", "chain:2", "--fn", str(fn), "--alpha", "1.5"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cmlat: DomainViolation: "), proc.stderr
+
+
+def test_multi_interval_above_the_ground_cap_exits_two_before_searching(capsys, monkeypatch):
+    from cmlat import scan
+
+    def search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(scan, "_certify", search)
+    code, doc, err = run(capsys, "scan", "multi-interval", "--n", "21", "--k", "2")
+    assert (code, doc) == (2, None)
+    assert err == "cmlat: SizeLimitExceeded: ground set must have 1..20 points, got 21\n"
+
+
 def test_schur_with_huge_coordinates_exits_two(capsys):
     code, doc, err = run(capsys, "scan", "schur", "--x", "1e308,1e308,1", "--alpha", "2")
     assert (code, doc) == (2, None)
