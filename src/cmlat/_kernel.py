@@ -7,8 +7,10 @@ live here, apart from `randset`, so that a module which needs the transform
 loads no random-subset code.
 
 A law, void functional, lattice function or weight table is a
-:class:`_Table`: its values are coerced once, to the public tuple of Python
-scalars and to one dense array.  Float values are a float64 array.  Exact
+:class:`_Table`: its values are coerced once, to one dense array.  A table
+computed from another holds only that array; its public tuple of Python
+scalars is built on first read (:class:`_Lazy`), so a command that reports
+a few entries converts only those.  Float values are a float64 array.  Exact
 values are integer numerators over their least common denominator D: int64
 while every partial sum of a transform provably fits (largest magnitude
 times the table length below 2^63), Python ints in an object array
@@ -24,6 +26,7 @@ same q.  The exponential is libm's ``exp``.  A float that overflows in
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -79,29 +82,57 @@ def _coerce(values):
     return vals, _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
 
 
-class _Table:
+class _Lazy:
+    """Base of a frozen dataclass whose field ``_FIELD``, a tuple of Python
+    scalars, may be held only as the dense ``_dense``: the tuple is then
+    built, and kept, the first time the field is read.  Dataclass ``==``,
+    ``hash``, ``repr`` and ``replace`` read the field, so they agree with
+    those of the instance built from the tuple."""
+
+    _FIELD = "values"
+
+    def __getattr__(self, name):  # called only when the attribute is missing
+        d = self.__dict__.get("_dense")
+        if name != self._FIELD or d is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = tuple(_to_scalars(d))
+        object.__setattr__(self, name, values)
+        return values
+
+    @classmethod
+    def _lazy(cls, d: _Dense, **fields):
+        """The instance with the other ``fields`` given and ``_FIELD`` held as ``d``."""
+        obj = cls.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_dense", d)
+        return obj
+
+
+class _Table(_Lazy):
     """Base of a frozen dataclass whose field ``_FIELD`` holds a table of
-    values, kept as a tuple and as the dense ``_dense``; ``_HEAD`` names its
-    other field.  A subclass adds only its validation, ``_check()``."""
+    values, kept as the dense ``_dense``; ``_HEAD`` names its other field.  A
+    subclass adds only its validation, ``_check()``."""
 
     _HEAD = "n"
-    _FIELD = "values"
 
     def __post_init__(self):
         vals, d = _coerce(getattr(self, self._FIELD))
-        self._keep(d, vals)
+        object.__setattr__(self, self._FIELD, vals)
+        object.__setattr__(self, "_dense", d)
+        self._check()
 
     @classmethod
     def _from_dense(cls, head, d: _Dense):
-        table = cls.__new__(cls)
-        object.__setattr__(table, cls._HEAD, head)
-        table._keep(d, None)
+        """The table of ``d``; its tuple is built on first read."""
+        table = cls._lazy(d, **{cls._HEAD: head})
+        table._check()
         return table
 
-    def _keep(self, d, vals):
-        object.__setattr__(self, self._FIELD, tuple(_to_scalars(d)) if vals is None else vals)
-        object.__setattr__(self, "_dense", d)
-        self._check()
+    def _scalar(self, index):
+        """One entry, as the tuple would give it, without building the tuple."""
+        d = self._dense
+        return _to_scalar(d, d.values[operator.index(index)])
 
     @property
     def kind(self):

@@ -113,9 +113,10 @@ def _mask_doc(mask, n):
 
 def _distribution_doc(x):
     from ._output import MaskTable
+    from .randset import _atoms
 
-    masks = [mask for mask, p in enumerate(x.probs) if p != 0]
-    return {"n": x.n, "masses": MaskTable(x.n, masks, "probability", [x.probs[m] for m in masks])}
+    masks, masses = _atoms(x)
+    return {"n": x.n, "masses": MaskTable(x.n, masks, "probability", masses)}
 
 
 # --- command handlers -------------------------------------------------------
@@ -277,7 +278,8 @@ def cmd_randset_power_exists(args):
         "boundary": verdict.boundary,
     }
     if verdict.witness is not None:
-        result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.q_values[verdict.witness]}
+        # the witness is the argmin of q: its entry is min_q, and q_values is never built
+        result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.min_q}
     if x.n <= 10:
         from ._output import MaskTable
 

@@ -18,7 +18,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _coerce, _Dense, _exp, _float_power, _floats, _power, _Table, _to_scalar, _transform
+from ._kernel import (
+    _coerce,
+    _Dense,
+    _exp,
+    _float_power,
+    _floats,
+    _power,
+    _Table,
+    _to_scalar,
+    _to_scalars,
+    _transform,
+)
 from ._scalars import RATIONAL, check_tolerance, is_integral
 from .errors import (
     BudgetExceeded,
@@ -59,10 +70,10 @@ class LatticeFunction(_Table):
             raise NegativeValue(f"function value {_to_scalar(d, low)} is negative")
 
     def max_value(self):
-        return max(self.values)
+        return self._scalar(np.argmax(self._dense.values))
 
     def __call__(self, x):
-        return self.values[x]
+        return self._scalar(x)
 
 
 @dataclass(frozen=True)
@@ -76,8 +87,9 @@ class WeightFunction(_Table):
     _FIELD = "weights"
 
     def _check(self):
-        if len(self.weights) != self.lattice.n:
-            raise DomainViolation(f"expected {self.lattice.n} weights, got {len(self.weights)}")
+        size = len(self._dense.values)
+        if size != self.lattice.n:
+            raise DomainViolation(f"expected {self.lattice.n} weights, got {size}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +130,11 @@ def delta(f: LatticeFunction, args, base) -> object:
     args = tuple(args)
     for a in args:
         lat.check_element(a)
+    d = f._dense
+    values = _to_scalars(d._replace(values=d.values[_subset_joins(lat, base, args)]))
     total = 0
-    for mask, j in enumerate(_subset_joins(lat, base, args)):
-        total += -f.values[j] if bin(mask).count("1") & 1 else f.values[j]
+    for mask, v in enumerate(values):
+        total += -v if bin(mask).count("1") & 1 else v
     return total
 
 
@@ -204,10 +218,11 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     rational = f.kind == RATIONAL
     if tol is None:
         tol = 0 if rational else DEFAULT_REL_TOL * float(max(f.max_value(), 1e-300))
-    worst = min(range(f.lattice.n), key=lambda x: p.weights[x])
-    min_weight = p.weights[worst]
+    weights = p._dense.values
+    worst = int(np.argmin(weights))
+    min_weight = p._scalar(worst)
     bad = min_weight < (0 if rational else -tol)
-    indeterminate = not (rational or bad) and any(-tol <= w <= tol for w in p.weights)
+    indeterminate = not (rational or bad) and bool(np.any((-tol <= weights) & (weights <= tol)))
     witness = None
     if bad:
         covering = f.lattice.covers(worst)

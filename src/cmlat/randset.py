@@ -11,9 +11,11 @@ Tables over the 2^n masks are dense arrays, float64 or integer numerators
 over one denominator, and every transform is one pass of the subset kernel
 (:mod:`cmlat._kernel`, whose :func:`subset_sums` and :func:`subset_mobius`
 this module re-exports).  Python scalars (floats, Fractions) are built only at
-the API boundary: the ``probs``, ``table`` and ``q_values`` tuples.  The
-pointwise powers and the exponential of :func:`poisson_union` are the
-kernel's, which use libm's ``pow`` and ``exp``.
+the API boundary: a computed table builds its ``probs``, ``table`` or
+``q_values`` tuple on first read, and a command that reports a verdict, a
+witness or the nonzero masses converts only those entries.  The pointwise
+powers and the exponential of :func:`poisson_union` are the kernel's, which
+use libm's ``pow`` and ``exp``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from ._kernel import (
     _exp,
     _floats,
     _int_dtype,
+    _Lazy,
     _numerators,
     _power,
     _Table,
@@ -106,7 +109,9 @@ class RandomSubset(_Table):
             if total != d.den:
                 raise InvalidProbabilityVector(f"masses sum to {Fraction(total, d.den)}, not 1")
         else:
-            total = sum(self.probs)  # left to right, as the masses are listed
+            # left to right, as the masses are listed (adding a zero changes no sum)
+            masses = d.values[d.values != 0]
+            total = float(np.cumsum(masses)[-1]) if masses.size else 0.0
             if not abs(total - 1.0) <= SUM_TOL:  # a NaN total fails too
                 raise InvalidProbabilityVector(f"masses sum to {total!r}, not 1")
 
@@ -146,7 +151,7 @@ class VoidFunctional(_Table):
         return tuple(1 - v for v in self.table)
 
     def __call__(self, mask):
-        return self.table[mask]
+        return self._scalar(mask)
 
 
 def _check_void(d: _Dense):
@@ -160,8 +165,11 @@ def _check_void(d: _Dense):
 
 
 @dataclass(frozen=True)
-class PowerVerdict:
-    """Existence verdict for the alpha-th power of a random subset."""
+class PowerVerdict(_Lazy):
+    """Existence verdict for the alpha-th power of a random subset.
+
+    :func:`power_exists` keeps the dense q table: ``q_values`` is built on
+    first read."""
 
     exists: bool
     alpha: object
@@ -171,6 +179,8 @@ class PowerVerdict:
     witness: int | None
     boundary: bool
     tol: float
+
+    _FIELD = "q_values"
 
     def __bool__(self):
         return self.exists
@@ -232,13 +242,12 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     worst = int(np.argmin(q.values))
     low = q.values[worst]
     exists = bool(low >= 0 if exact else low >= -tol)
-    q_values = tuple(_to_scalars(q))
-    min_q = q_values[worst]
-    return PowerVerdict(
+    min_q = _to_scalar(q, low)
+    return PowerVerdict._lazy(
+        q,
         exists=exists,
         alpha=alpha,
         n=x.n,
-        q_values=q_values,
         min_q=min_q,
         witness=None if exists else worst,
         boundary=(not exact) and exists and min_q < 0,
@@ -357,12 +366,18 @@ def is_infinitely_divisible(x: RandomSubset) -> bool:
 
 # --- text exchange format -----------------------------------------------------
 
+def _atoms(x: RandomSubset):
+    """The masks of the nonzero masses, ascending, and those masses as Python
+    scalars: taken from the dense table, with no 2^n tuple."""
+    d = x._dense
+    masks = np.flatnonzero(d.values)
+    return masks.tolist(), _to_scalars(_Dense(d.values[masks], d.den))
+
+
 def format_distribution_text(x: RandomSubset) -> str:
     """Serialize as 'n' then 'mask probability' lines (zero masses skipped)."""
     lines = [str(x.n)]
-    for mask, p in enumerate(x.probs):
-        if p != 0:
-            lines.append(f"{mask} {p}")
+    lines += [f"{mask} {p}" for mask, p in zip(*_atoms(x))]
     return "\n".join(lines) + "\n"
 
 

@@ -74,9 +74,20 @@ class ExponentialPolynomial:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     def grid_values(self, alphas: np.ndarray) -> np.ndarray:
-        # copied to contiguous rows: the product then rounds as _SizeClassLaw.grid's does
-        coefs, bases = np.array(self.terms, dtype=float).reshape(-1, 2).T.copy()
-        return coefs @ _float_power(bases[:, None], alphas)
+        coefs, bases = np.array(self.terms, dtype=float).reshape(-1, 2).T
+        return _term_sums(coefs[None], _float_power(bases[:, None], alphas))[0]
+
+
+def _term_sums(coefs, powers) -> np.ndarray:
+    """``coefs @ powers`` for a matrix ``coefs``, each row's terms added in
+    the order of the rows of ``powers`` (decreasing base), so the rounding is
+    a function of the values alone, not of their memory layout as a BLAS
+    product's is.  A zero coefficient adds an exact zero."""
+    terms = coefs.T[:, :, None] * powers[:, None, :]
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
 
 
 def q_poly(x: RandomSubset, a_mask: int) -> ExponentialPolynomial:
@@ -431,7 +442,7 @@ class _SizeClassLaw:
     b = |A| only, and w_a = P{X subset B} for |B| = a.
 
     Built once per law.  Rows run a = n..1 (decreasing base), so the terms of
-    r_b are the last b rows.
+    r_b are the last b rows: ``coefs[b]`` is zero on the others.
     """
 
     def __init__(self, n, size_masses):
@@ -441,19 +452,17 @@ class _SizeClassLaw:
         self.size_masses = size_masses
         # w_a summed exactly over the charged sizes, then rounded once
         self.w = [float(sum(math.comb(a, s) * m for s, m in charged if s <= a)) for a in range(n, 0, -1)]
-        self.coefs = {
-            b: np.array([(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)])
-            for b in range(2, n + 1)
-        }
+        self.coefs = np.zeros((n + 1, n))
+        for b in range(2, n + 1):
+            self.coefs[b, n - b :] = [(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)]
 
     def value(self, b, alpha: float) -> float:
         """r_b(alpha): an exactly rounded sum of libm powers."""
-        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b].tolist(), self.w[self.n - b :]))
+        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b, self.n - b :].tolist(), self.w[self.n - b :]))
 
     def grid(self, alphas, sizes) -> np.ndarray:
         """r_b over the grid ``alphas``, one row per b in ``sizes``."""
-        powers = _float_power(np.array(self.w)[:, None], alphas)
-        return np.array([self.coefs[b] @ powers[self.n - b :] for b in sizes])
+        return _term_sums(self.coefs[list(sizes)], _float_power(np.array(self.w)[:, None], alphas))
 
 
 def _grid(lo, hi, step, include_hi=False):

@@ -16,6 +16,7 @@ from cmlat.scan import (
     ExponentialPolynomial,
     _certify,
     _SizeClassLaw,
+    _term_sums,
     construct_multi_interval,
 )
 
@@ -271,3 +272,31 @@ def test_reported_delta_recertifies_on_the_full_ladder(n, k):
     cert = construct_multi_interval(n, k)
     delta, items = _certify(_SizeClassLaw(n, cert.size_masses), k, DELTA_LADDER, 1e-3)
     assert delta == cert.delta and items == cert.items
+
+
+def test_term_sums_do_not_depend_on_memory_layout():
+    # a BLAS product rounds by layout: a column view of the terms array once
+    # gave an r_6 4.4e-16 away from the contiguous copy's
+    rng = np.random.default_rng(6)
+    terms = np.column_stack([rng.choice([-1.0, 1.0], 9) * rng.integers(1, 200, 9), rng.random(9)])
+    strided = terms[:, 0]
+    assert not strided.flags.c_contiguous
+    powers = rng.random((9, 257))
+    want = _term_sums(np.ascontiguousarray(strided)[None], powers)
+    for coefs in (strided[None], np.asfortranarray(np.vstack([strided, strided]))):
+        for rows in (powers, np.asfortranarray(powers), powers[::-1][::-1]):
+            got = _term_sums(coefs, rows)
+            assert all(row.tobytes() == want[0].tobytes() for row in got)
+    # the terms are added in row order, as a scalar loop from 0 adds them
+    loop = [functools.reduce(lambda s, i: s + strided[i] * powers[i, j], range(9), 0.0) for j in range(257)]
+    assert want[0].tolist() == loop
+
+
+def test_grid_values_and_the_size_class_grid_agree_bit_for_bit():
+    masses = (0, Fraction(1, 10), 0, 0, Fraction(1, 30), Fraction(1, 6), Fraction(1, 10))
+    law = _SizeClassLaw(6, tuple(map(Fraction, masses)))
+    alphas = np.linspace(0.0, 6.0, 301)
+    for b in range(2, 7):
+        terms = [(law.coefs[b, a], w) for a, w in enumerate(law.w) if law.coefs[b, a]]
+        want = ExponentialPolynomial(terms).grid_values(alphas)
+        assert law.grid(alphas, [b])[0].tobytes() == want.tobytes()
