@@ -73,6 +73,14 @@ def _magnitude(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _lowest_terms(d: _Dense) -> _Dense:
+    """Exact ``d`` over the least common denominator of its values, in the
+    dtype :func:`_coerce` gives them: the table coerced from its Fractions."""
+    g = math.gcd(d.den, int(np.gcd.reduce(d.values)))
+    values = d.values // g
+    return _Dense(values.astype(_int_dtype([_magnitude(values)], len(values))), d.den // g)
+
+
 def _coerce(values):
     """The tuple of :func:`coerce_values` and its dense form."""
     vals, kind = coerce_values(values)
@@ -178,30 +186,35 @@ def _floats(d: _Dense) -> np.ndarray:
 
 
 @np.errstate(over="raise")
-def _float_power(values, alpha) -> np.ndarray:
+def _float_power(values, alpha, out=None) -> np.ndarray:
     """values**alpha through libm's pow (0**0 = 1), for a scalar alpha or a
-    column of exponents; + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0."""
+    column of exponents; + 0.0 turns -0.0 into 0.0, whose odd powers are 0.0.
+    With ``out`` (``values`` itself, for a scalar alpha) the powers are
+    written there, with no temporary array."""
     try:
-        return np.float_power(values + 0.0, np.asarray(alpha, dtype=float))
+        base = np.add(values, 0.0, out=out)
+        return np.float_power(base, np.asarray(alpha, dtype=float), out=out)
     except (FloatingPointError, OverflowError):
         raise DomainViolation("a power or its exponent exceeds the float range") from None
 
 
 def _exp(values) -> np.ndarray:
     """exp(values) entry by entry through libm."""
-    return np.fromiter(map(math.exp, values.tolist()), float, len(values))
+    return np.fromiter(map(math.exp, values), float, len(values))
 
 
-def _power(d: _Dense, alpha) -> _Dense:
+def _power(d: _Dense, alpha, overwrite=False) -> _Dense:
     """d**alpha entry by entry (0**0 = 1), alpha finite and >= 0.  Exact d
     and an integral alpha = k give numerators over den**k, refused first by
     :func:`check_power_size` at the bits of the larger of den and the largest
     numerator, and int64 while every partial sum of their transform fits;
-    any other pair gives floats."""
+    any other pair gives floats, computed in place in the float copy of an
+    exact d, and in d's own array when ``overwrite`` is set."""
     if isinstance(alpha, float) and not math.isfinite(alpha) or alpha < 0:
         raise DomainViolation(f"exponent must be finite and nonnegative, got {alpha}")
     if d.den is None or not is_integral(alpha):
-        return _Dense(_float_power(_floats(d), alpha))
+        base = _floats(d)
+        return _Dense(_float_power(base, alpha, out=base if overwrite or d.den is not None else None))
     k, values = int(alpha), d.values
     bits = _magnitude(values).bit_length()
     check_power_size(len(values), k, max(d.den.bit_length(), bits))

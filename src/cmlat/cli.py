@@ -38,17 +38,17 @@ EXIT_USAGE = 2
 
 
 def _emit(doc, out_path):
-    from ._output import encode
+    from ._output import layout, write
 
     try:
-        text = encode(doc)
+        pieces = layout(doc)  # checks every value: nothing is written before
     except ValueError as exc:  # an infinite float: strict JSON cannot spell it
         raise InvariantViolation(f"output not strict JSON: {exc}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(pieces, fh)
     else:
-        sys.stdout.write(text)
+        write(pieces, sys.stdout)
 
 
 def _write_csv(path, header, rows):
@@ -111,12 +111,21 @@ def _mask_doc(mask, n):
     return {"mask": mask, "set": mask_set(mask, n)}
 
 
-def _distribution_doc(x):
+def _mask_table(n, column, d, masks=None):
+    """The MaskTable of the dense table ``d`` at ``masks``, or at every mask."""
+    import numpy as np
+
     from ._output import MaskTable
+
+    if masks is None:
+        return MaskTable(n, np.arange(len(d.values)), column, d.values, d.den)
+    return MaskTable(n, masks, column, d.values[masks], d.den)
+
+
+def _distribution_doc(x):
     from .randset import _atoms
 
-    masks, masses = _atoms(x)
-    return {"n": x.n, "masses": MaskTable(x.n, masks, "probability", masses)}
+    return {"n": x.n, "masses": _mask_table(x.n, "probability", x._dense, _atoms(x))}
 
 
 # --- command handlers -------------------------------------------------------
@@ -234,18 +243,14 @@ def cmd_cm_accompany(args):
 
 def cmd_randset_void(args):
     from . import randset as randset_mod
-    from ._output import MaskTable
-    from ._scalars import FLOAT
+    from ._kernel import _Dense, _floats
 
     x = load_distribution(args.dist, "--dist")
-    v = randset_mod.void_functional(x)
-    void = MaskTable(x.n, range(1 << x.n), "value", v.table)
-    if args.csv:
-        keys, sets, values = void.texts
-        if v.kind != FLOAT:  # the CSV holds floats, the JSON the exact values
-            values = map(float, v.table)
-        _write_csv(args.csv, ("mask", "set", "void_probability"), zip(keys, sets, values))
-    return {"n": x.n, "void": void}, EXIT_OK
+    d = randset_mod.void_functional(x)._dense
+    if args.csv:  # the CSV holds floats, the JSON the exact values
+        floats = _mask_table(x.n, "value", _Dense(_floats(d)))
+        _write_csv(args.csv, ("mask", "set", "void_probability"), floats.rows())
+    return {"n": x.n, "void": _mask_table(x.n, "value", d)}, EXIT_OK
 
 
 def cmd_randset_invert(args):
@@ -281,9 +286,7 @@ def cmd_randset_power_exists(args):
         # the witness is the argmin of q: its entry is min_q, and q_values is never built
         result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.min_q}
     if x.n <= 10:
-        from ._output import MaskTable
-
-        result["q"] = MaskTable(x.n, range(1 << x.n), "value", verdict.q_values)
+        result["q"] = _mask_table(x.n, "value", verdict._dense)
     return result, EXIT_OK if verdict.exists else EXIT_NEGATIVE
 
 

@@ -32,7 +32,9 @@ from ._kernel import (
     _floats,
     _int_dtype,
     _Lazy,
+    _lowest_terms,
     _numerators,
+    _per_bit,
     _power,
     _Table,
     _to_scalar,
@@ -55,29 +57,45 @@ from .errors import (
 GROUND_CAP = 20
 MASS_TOL = 1e-9
 SUM_TOL = 1e-12
+CHUNK_ROWS = 1024  # rows per chunk of a written table
 
 
-def mask_sets(masks, n) -> list:
-    """Brace notation for each subset mask, elements numbered from 1.
+def mask_set_texts(n):
+    """The function from an iterable of int masks of [n] to the list of their
+    brace notations, elements numbered from 1.
 
-    One lookup table per half of the mask holds the element lists of the
-    half values that occur, each element followed by a comma; a mask's set
-    is its two entries joined, less the last comma.  ``masks`` is iterated
-    three times.
+    Lookups built once here hold the texts of every half of a mask: the low
+    half's elements after the opening brace, and the high half's before the
+    closing one, with a leading comma for use after a nonempty low half.  A
+    mask's set is one low text and one high text joined.
     """
     half = n // 2
     low_bits = (1 << half) - 1
 
-    def lists(values, first, stop):
-        return {v: "".join(f"{i + 1}," for i in range(first, stop) if v >> (i - first) & 1) for v in values}
+    def lists(first, stop):
+        texts = [[]]
+        for i in range(first, stop):  # the values with bit i - first set follow those without
+            texts += [t + [str(i + 1)] for t in texts]
+        return [",".join(t) for t in texts]
 
-    low = lists({m & low_bits for m in masks}, 0, half)
-    high = lists({m >> half for m in masks}, half, n)
-    return ["{%s}" % (low[m & low_bits] + high[m >> half])[:-1] for m in masks]
+    highs = lists(half, n)
+    low = ["{" + t for t in lists(0, half)]
+    high_alone = [t + "}" for t in highs]
+    high_after = ["," * bool(t) + t + "}" for t in highs]
+
+    def sets(masks) -> list:
+        return [low[m & low_bits] + (high_after if m & low_bits else high_alone)[m >> half] for m in masks]
+
+    return sets
+
+
+def mask_sets(masks, n) -> list:
+    """Brace notation for each subset mask (see :func:`mask_set_texts`)."""
+    return mask_set_texts(n)(masks)
 
 
 def mask_set(mask, n) -> str:
-    """Brace notation for one subset mask (see :func:`mask_sets`)."""
+    """Brace notation for one subset mask (see :func:`mask_set_texts`)."""
     return mask_sets([mask], n)[0]
 
 
@@ -186,12 +204,18 @@ class PowerVerdict(_Lazy):
         return self.exists
 
     def distribution(self) -> RandomSubset:
+        """The law of the power: the q table, float masses in [-tol, 0)
+        clamped to zero, exact masses over their least common denominator."""
         if not self.exists:
             raise NotAVoidFunctional(
                 f"power {self.alpha} does not exist", witness=self.witness, mass=self.min_q
             )
-        clamped = [0 if (isinstance(q, float) and -self.tol <= q < 0) else q for q in self.q_values]
-        return RandomSubset(self.n, clamped)
+        q = self._dense
+        if q.den is None:
+            q = _Dense(np.where((q.values < 0) & (q.values >= -self.tol), 0.0, q.values))
+        else:
+            q = _lowest_terms(q)
+        return RandomSubset._from_dense(self.n, q)
 
 
 # --- core maps --------------------------------------------------------------
@@ -236,9 +260,9 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     integral alpha give exact Fractions; any other pair gives floats.
     """
     check_tolerance(tol)
-    wa = _power(_containment(x), alpha)
+    wa = _power(_containment(x), alpha, overwrite=True)  # a fresh table: transformed in place
     exact = wa.den is not None
-    q = _Dense(_transform(wa.values, x.n, np.subtract), wa.den)
+    q = _Dense(_per_bit(wa.values, x.n, np.subtract), wa.den)
     worst = int(np.argmin(q.values))
     low = q.values[worst]
     exists = bool(low >= 0 if exact else low >= -tol)
@@ -267,7 +291,7 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
         raise DomainViolation("m must be a positive integer")
     w = _containment(x)
     v = w.values[::-1]
-    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), int(m))
+    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), int(m), overwrite=True)
     _check_void(vm)
     return _invert(x.n, vm, MASS_TOL)
 
@@ -284,8 +308,10 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
         raise DomainViolation(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise DomainViolation("lambda must be positive")
-    v = _floats(_containment(x))[::-1]
-    return _invert(x.n, _Dense(_exp(float(lam) * (v - v[0]))), MASS_TOL)
+    v = _floats(_containment(x))[::-1]  # a fresh table: the exponent is formed in place
+    v -= v[0]
+    v *= float(lam)
+    return _invert(x.n, _Dense(_exp(v)), MASS_TOL)
 
 
 def singleton_set(*ps) -> RandomSubset:
@@ -367,18 +393,24 @@ def is_infinitely_divisible(x: RandomSubset) -> bool:
 # --- text exchange format -----------------------------------------------------
 
 def _atoms(x: RandomSubset):
-    """The masks of the nonzero masses, ascending, and those masses as Python
-    scalars: taken from the dense table, with no 2^n tuple."""
-    d = x._dense
-    masks = np.flatnonzero(d.values)
-    return masks.tolist(), _to_scalars(_Dense(d.values[masks], d.den))
+    """The masks of the nonzero masses, ascending, as an int array."""
+    return np.flatnonzero(x._dense.values)
+
+
+def _distribution_chunks(x: RandomSubset):
+    """The distribution document of :func:`format_distribution_text`, in
+    chunks of at most ``CHUNK_ROWS`` lines, converted from the dense table."""
+    d, masks = x._dense, _atoms(x)
+    yield f"{x.n}\n"
+    for start in range(0, len(masks), CHUNK_ROWS):
+        chunk = masks[start:start + CHUNK_ROWS]
+        masses = _to_scalars(_Dense(d.values[chunk], d.den))
+        yield "".join([f"{mask} {p}\n" for mask, p in zip(chunk.tolist(), masses)])
 
 
 def format_distribution_text(x: RandomSubset) -> str:
     """Serialize as 'n' then 'mask probability' lines (zero masses skipped)."""
-    lines = [str(x.n)]
-    lines += [f"{mask} {p}" for mask, p in zip(*_atoms(x))]
-    return "\n".join(lines) + "\n"
+    return "".join(_distribution_chunks(x))
 
 
 def _read_mask_lines(text: str, document: str, value_name: str, number):
@@ -460,8 +492,9 @@ def parse_void_text(text: str) -> VoidFunctional:
 
 
 def write_distribution_file(x: RandomSubset, path):
+    """Write :func:`format_distribution_text`, chunk by chunk."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_distribution_text(x))
+        fh.writelines(_distribution_chunks(x))
 
 
 def read_distribution_file(path) -> RandomSubset:

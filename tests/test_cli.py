@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat import cli
-from cmlat._output import MaskTable
+from cmlat._kernel import _Dense
+from cmlat._output import MaskTable, string_order
 from cmlat.cli import main
 from cmlat.cm import LatticeFunction, WeightFunction, reconstruct, write_function_file
 from cmlat.lattice import (
@@ -719,11 +721,17 @@ def one_line_mask_set(mask, n):
     return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
 
 
+def table_values(table):
+    """The values of a mask table as Python floats or Fractions."""
+    values = table.values.tolist()
+    return values if table.den is None else [Fraction(v, table.den) for v in values]
+
+
 def oracle_jsonable(obj):
     """The document as plain JSON values, each mask table as its dict per mask."""
     if isinstance(obj, MaskTable):
         obj = {str(m): {obj.column: v, "mask": m, "set": one_line_mask_set(m, obj.n)}
-               for m, v in zip(obj.masks, obj.values)}
+               for m, v in zip(obj.masks.tolist(), table_values(obj))}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -771,14 +779,28 @@ LEAVES = st.one_of(
     st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é→😀", "{1,2}"]),
 )
 KEYS = st.one_of(st.sampled_from([2, 10, 1, "2", "10", "a"]), st.integers(-3, 12), st.text(max_size=4))
-TABLES = st.integers(1, 5).flatmap(lambda n: st.builds(
-    MaskTable,
+FLOATS = st.one_of(st.floats(allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e-310, 1e300, math.nan, 2.0]))
+
+
+def dense_table(n, masks, column, values, scale=1):
+    """The MaskTable of Python floats, as float64, or of Fractions, as
+    numerators over ``scale`` times their least common denominator."""
+    if all(isinstance(v, float) for v in values):
+        return MaskTable(n, masks, column, np.array(values, dtype=float))
+    den = math.lcm(*(v.denominator for v in values)) * scale
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    dtype = np.int64 if max(map(abs, nums)) < 1 << 63 else object
+    return MaskTable(n, masks, column, np.array(nums, dtype=dtype), den)
+
+
+TABLES = st.integers(1, 20).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=12),
     st.sampled_from(["probability", "value"]),
-    st.just(()),
-)).flatmap(lambda t: st.lists(LEAVES, min_size=len(t.masks), max_size=len(t.masks)).map(
-    lambda values: MaskTable(t.n, t.masks, t.column, values)))
+    st.sampled_from([FLOATS, st.fractions()]),
+    st.sampled_from([1, 6]),
+)).flatmap(lambda t: st.lists(t[3], min_size=len(t[1]), max_size=len(t[1])).map(
+    lambda values: dense_table(t[0], t[1], t[2], values, t[4])))
 DOCUMENTS = st.recursive(
     st.one_of(LEAVES, TABLES),
     lambda kids: st.one_of(
@@ -796,10 +818,25 @@ def test_emit_matches_the_standard_encoder(doc):
     assert first_difference(emitted(doc), oracle_text(doc)) is None
 
 
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_emit_matches_the_standard_encoder_across_chunks(rows, kind):
+    rng = random.Random(rows)
+    masks = rng.sample(range(1 << 12), rows)
+    if kind == "float":
+        values = [rng.random() for _ in masks]
+    else:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 40)) for _ in masks]
+    doc = {"n": 12, "table": dense_table(12, masks, "value", values), "tail": [0.5]}
+    assert first_difference(emitted(doc), oracle_text(doc)) is None
+
+
 @pytest.mark.parametrize("doc", [
     math.inf,
     {"a": [1, {"b": -math.inf}]},
     {"t": MaskTable(3, [1, 2], "value", [0.5, math.inf])},
+    {"t": MaskTable(4, [2, 10, 3], "value", [math.inf, -math.inf, math.nan])},  # "10" is the first row
+    {"a": MaskTable(4, [2], "value", [-math.inf]), "b": math.inf},
 ])
 def test_emit_refuses_infinity_as_the_standard_encoder_does(doc):
     with pytest.raises(InvariantViolation) as want:
@@ -807,6 +844,20 @@ def test_emit_refuses_infinity_as_the_standard_encoder_does(doc):
     with pytest.raises(InvariantViolation) as got:
         emitted(doc)
     assert str(got.value) == str(want.value)
+
+
+def test_refused_table_writes_nothing(monkeypatch, capsys, tmp_path):
+    table = np.full(8, 0.5)
+    table[0], table[6] = 1.0, math.inf
+    monkeypatch.setattr(randset, "void_functional", lambda x: SimpleNamespace(_dense=_Dense(table)))
+    out = tmp_path / "doc.json"
+    for extra in ([], ["--out", str(out)]):
+        code = main(["randset", "void", "--dist", "uniform-singleton:3", *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "cmlat: InvariantViolation: output not strict JSON: " \
+                               "Out of range float values are not JSON compliant: inf\n"
+    assert not out.exists()
 
 
 def oracle_run(monkeypatch, argv):
@@ -902,3 +953,11 @@ def test_out_file_holds_the_stdout_bytes(laws, tmp_path, capsys):
     out = tmp_path / "doc.json"
     assert main([*argv, "--out", str(out)]) == 0
     assert first_difference(out.read_text(encoding="utf-8"), capsys.readouterr().out) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 20) - 1), max_size=60))
+def test_string_order_is_the_order_of_the_decimal_strings(masks):
+    masks = [*masks, 0, 1, 10, 100, (1 << 20) - 1]
+    assert [masks[i] for i in string_order(masks)] == sorted(masks, key=str)
+    assert string_order([]).size == 0

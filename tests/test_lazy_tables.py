@@ -7,11 +7,13 @@ holds; dataclass equality, hashing, repr, pickling, copying and
 ``dataclasses.replace`` must agree with those of the eager table.
 """
 
+import contextlib
 import copy
 import dataclasses
 import functools
 import math
 import operator
+import os
 import pickle
 import random
 import tracemalloc
@@ -31,6 +33,7 @@ from cmlat.randset import (
     VoidFunctional,
     parse_distribution_text,
     power_exists,
+    uniform_singleton,
     union_iid,
     void_functional,
 )
@@ -185,6 +188,65 @@ def test_power_exists_command_memory_n18(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1 and '"witness"' in out
     assert peak < 12 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak of ``main(argv)``, its stdout sent to os.devnull."""
+    with open(os.devnull, "w", encoding="utf-8") as devnull, contextlib.redirect_stdout(devnull):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("n, args, budget_mib", [
+    (16, ["poisson", "--lam", "2.5"], 4),
+    (14, ["void", "--csv", "{tmp}/void.csv"], 3),
+    (18, ["void"], 24),
+])
+def test_mask_table_commands_stream_their_output(tmp_path, n, args, budget_mib):
+    # the rows are written chunk by chunk from the dense table: no 2^n list of
+    # texts, rows or Python scalars is built
+    path = tmp_path / "law.dist"
+    path.write_text(_float_law_text(n, 256, seed=n))
+    argv = ["randset", args[0], "--dist", str(path), *[a.format(tmp=tmp_path) for a in args[1:]]]
+    peak = _traced_peak(argv)
+    assert peak <= budget_mib << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def _old_distribution(verdict):
+    """The law of the power through the q_values tuple, clamped entry by entry."""
+    clamped = [0 if (isinstance(q, float) and -verdict.tol <= q < 0) else q for q in verdict.q_values]
+    return RandomSubset(verdict.n, clamped)
+
+
+@pytest.mark.parametrize("law, alpha", [
+    (lambda: parse_distribution_text(_float_law_text(8, 40, seed=2)), 2),  # clamps q in [-tol, 0)
+    (lambda: parse_distribution_text(_float_law_text(10, 64, seed=3)), 3.0),
+    (lambda: EXACT_LAW, 2),
+    (lambda: EXACT_LAW, 3),
+    (lambda: uniform_singleton(5), 4),
+    (lambda: uniform_singleton(4), 3.5),
+    (lambda: RandomSubset(2, [Fraction(k, 3 << 61) for k in (1, 2 << 60, 2 << 60, (2 << 60) - 1)]), 2),
+    # q is held as Python ints, yet its Fractions fit int64 again
+    (lambda: RandomSubset(1, [Fraction(1, (1 << 20) + 1), Fraction(1 << 20, (1 << 20) + 1)]), 3),
+], ids=["float boundary", "float", "exact 2", "exact 3", "uniform 4", "exact law float q", "exact object",
+        "exact object to int64"])
+def test_distribution_is_the_clamped_q_table(law, alpha):
+    verdict = power_exists(law(), alpha)
+    got, want = verdict.distribution(), _old_distribution(verdict)
+    assert _bits(got.probs) == _bits(want.probs)
+    d, e = got._dense, want._dense
+    assert (d.den, d.values.dtype) == (e.den, e.values.dtype) and np.array_equal(d.values, e.values)
+
+
+def test_distribution_clamp_is_exercised():
+    verdict = power_exists(parse_distribution_text(_float_law_text(8, 40, seed=2)), 2)
+    assert verdict.boundary and verdict.distribution().probs != verdict.q_values
 
 
 def _drifting_masses(n):

@@ -40,6 +40,7 @@ from cmlat.randset import (
     union_iid,
     void_distance,
     void_functional,
+    write_distribution_file,
 )
 
 
@@ -604,6 +605,22 @@ def test_distribution_format_roundtrip():
     x = random_rational_subset(3, rng)
     back = parse_distribution_text(format_distribution_text(x))
     assert back.probs == x.probs and back.n == x.n
+
+
+@pytest.mark.parametrize("atoms", [1, 1024, 1025, 3000])
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_distribution_file_is_the_formatted_text(tmp_path, atoms, kind):
+    rng = random.Random(atoms)
+    weights = [0] * (1 << 12)
+    for mask in rng.sample(range(1 << 12), atoms):
+        weights[mask] = rng.randint(1, 9)
+    total = sum(weights)
+    x = RandomSubset(12, [w / total if kind == "float" else Fraction(w, total) for w in weights])
+    path = tmp_path / "law.dist"
+    write_distribution_file(x, path)
+    text = format_distribution_text(x)
+    assert path.read_bytes() == text.encode()
+    assert text == "12\n" + "".join(f"{m} {p}\n" for m, p in enumerate(x.probs) if p)
 
 
 def test_distribution_format_errors():
