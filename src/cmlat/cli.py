@@ -73,7 +73,7 @@ def load_lattice(spec: str, option: str):
     cover-pair file path; ``option`` names the flag in errors."""
     from . import lattice as lattice_mod
 
-    kind, _, arg = spec.partition(":")
+    kind, colon, arg = spec.partition(":")
     if kind == "chain":
         return lattice_mod.chain_lattice(_parse(option, arg, int))
     if kind == "boolean":
@@ -81,6 +81,8 @@ def load_lattice(spec: str, option: str):
     if kind == "diamond":
         return lattice_mod.diamond_lattice(_parse(option, arg, int))
     if kind == "pentagon":
+        if colon:  # N5 takes no argument
+            raise FormatError(f"{option}: bad value {arg!r}")
         return lattice_mod.pentagon_lattice()
     return lattice_mod.read_lattice_file(spec)
 

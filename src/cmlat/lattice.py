@@ -1,12 +1,17 @@
 """Finite lattices given by cover relations.
 
-Elements are integers ``0..n-1``.  General lattices carry explicit order,
-join and meet tables and are capped at 4096 elements; Boolean lattices are
-backed by bit operations (join = union, meet = intersection) so that ground
-sets up to 20 points stay usable without materializing 2^40-entry tables.
+Elements are integers ``0..n-1``.  General lattices carry explicit order
+and join tables, and a meet table built on first read; they are capped at
+4096 elements.  Construction checks every join and requires a least element,
+which proves the lattice axioms: a finite join-semilattice with a bottom is a
+lattice.  Boolean lattices are backed by bit operations (join = union, meet =
+intersection) so that ground sets up to 20 points stay usable without
+materializing 2^40-entry tables.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,15 +32,21 @@ SUBSET_JOIN_BUDGET = 1 << 20
 
 
 class FiniteLattice:
-    """Immutable lattice with explicit n-by-n order/join/meet tables.
+    """Immutable lattice with explicit n-by-n order and join tables.
 
-    Construction validates the full lattice axioms: the order must be
-    reflexive, antisymmetric and transitive, and every pair of elements must
-    have a unique least upper bound and greatest lower bound (checked for
-    every pair while the join and meet tables are filled).
+    Construction validates the lattice axioms.  A raw order table is checked
+    to be reflexive, antisymmetric and transitive while its covers are
+    found; ``from_covers`` passes the covers it read off the document
+    instead, since the closure of an acyclic relation is already an order.
+    Then the join table is filled, checking that every pair has a unique
+    least upper bound, and a least element is required: a finite
+    join-semilattice with a bottom is a lattice (the meet of x and y is the
+    join of their lower bounds, a nonempty set), so every meet exists.  The
+    meet table is built on first read; when there is no bottom it is built
+    at once, to name the first pair without a meet.
     """
 
-    def __init__(self, leq, name=""):
+    def __init__(self, leq, name="", *, _covers=None):
         leq = np.asarray(leq, dtype=bool)
         n = leq.shape[0]
         if leq.shape != (n, n):
@@ -48,23 +59,33 @@ class FiniteLattice:
         self.name = name
         self._leq = leq
         self._leq.setflags(write=False)
-        if not leq.diagonal().all():
-            raise NotALattice("order is not reflexive")
-        both = leq & leq.T
-        if both.sum() > n:
-            i, j = np.argwhere(both & ~np.eye(n, dtype=bool))[0]
-            raise NotALattice(f"order is not antisymmetric at ({i}, {j})")
         up_size = leq.sum(axis=1, dtype=np.int32)
-        self._covers = _covers(leq, up_size)
-        lower = [[] for _ in range(n)]
+        if _covers is None:
+            if not leq.diagonal().all():
+                raise NotALattice("order is not reflexive")
+            both = leq & leq.T
+            if both.sum() > n:
+                i, j = np.argwhere(both & ~np.eye(n, dtype=bool))[0]
+                raise NotALattice(f"order is not antisymmetric at ({i}, {j})")
+            _covers = _order_covers(leq, up_size)
+        self._covers = _covers
+        self._join = _join_table(leq, np.ascontiguousarray(leq.T), _covers, up_size, "join")
+        # every join exists, so the one maximal element is the top
+        self.top = int(np.flatnonzero(up_size == 1)[0])
+        bottom = np.flatnonzero(up_size == n)
+        if not bottom.size:
+            self._meet  # some pair has no meet: the table names the first
+        self.bottom = int(bottom[0])
+
+    @functools.cached_property
+    def _meet(self):
+        """Meet table: the join table of the reversed order."""
+        lower = [[] for _ in range(self.n)]
         for x, covs in enumerate(self._covers):
             for c in covs:
                 lower[c].append(x)
-        geq = np.ascontiguousarray(leq.T)
-        self._join = _join_table(leq, geq, self._covers, up_size, "join")
-        self._meet = _join_table(geq, leq, lower, geq.sum(axis=1, dtype=np.int32), "meet")
-        self.top = int(np.flatnonzero(leq.all(axis=0))[0])
-        self.bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+        geq = np.ascontiguousarray(self._leq.T)
+        return _join_table(geq, self._leq, lower, geq.sum(axis=1, dtype=np.int32), "meet")
 
     # -- accessors ----------------------------------------------------------
 
@@ -172,7 +193,7 @@ class BooleanLattice(FiniteLattice):
 
 # --- table construction -----------------------------------------------------
 
-def _covers(leq, up_size):
+def _order_covers(leq, up_size):
     """Covers of every element of a reflexive, antisymmetric order.
 
     Elements are taken top-down (ascending up-set size).  The covers of x are
@@ -216,25 +237,29 @@ def _join_table(leq, geq, covers, up_size, word):
     order.  Raises NotALattice naming the first pair found without one.
     """
     n = leq.shape[0]
-    cols = np.arange(n)
+    cols = np.arange(n, dtype=np.int32)
     flat = leq.ravel()
-    shift = n.bit_length()  # int32 keys (up-set size, element) order by size first
+    shift = n.bit_length()
+    keys = (up_size << shift) | cols  # int32 keys order by up-set size first
     join = np.empty((n, n), dtype=np.int32)
-    for x in np.argsort(up_size, kind="stable"):
-        covs = list(covers[x])
-        if not covs:
-            best, least = cols, False
-        elif len(covs) == 1:
-            best, least = join[covs[0]], True
+    for x in np.argsort(up_size, kind="stable").tolist():
+        covs = covers[x]
+        below = geq[x]
+        if len(covs) == 1:
+            join[x] = np.where(below, x, join[covs[0]])
+            continue
+        if covs:
+            cand = join.take(covs, axis=0)
+            best = keys.take(cand).max(axis=0) & ((1 << shift) - 1)
+            # above x the least candidate is y itself, so only the elements
+            # incomparable to x can miss
+            found = flat.take(best * n + cand).all(axis=0) | below
         else:
-            cand = join[covs]
-            best = ((up_size[cand] << shift) | cand).max(axis=0) & ((1 << shift) - 1)
-            least = flat.take(best * n + cand).all(axis=0)
-        missing = ~leq[x] & ~geq[x] & ~least
-        if missing.any():
-            i, j = sorted((int(x), int(np.argmax(missing))))
+            best, found = cols, below
+        if not found.all():
+            i, j = sorted((x, int(np.argmin(found))))
             raise NotALattice(f"elements {i} and {j} have no unique {word}")
-        join[x] = np.where(leq[x], cols, np.where(geq[x], x, best))
+        join[x] = np.where(below, x, best)
     join.setflags(write=False)
     return join
 
@@ -244,7 +269,10 @@ def _join_table(leq, geq, covers, up_size, word):
 def from_covers(n, cover_pairs, name="") -> FiniteLattice:
     """Build a lattice from its Hasse diagram.
 
-    Raises CyclicCovers for cycles, NotALattice when some pair has no unique
+    The order is closed in one top-down pass over Python-int bitsets, and the
+    covers are the declared pairs that no other declared pair implies, so the
+    order is neither re-checked nor its covers re-derived.  Raises
+    CyclicCovers for cycles, NotALattice when some pair has no unique
     lub/glb, and then NonCoverEdge for the first declared pair that is not a
     cover of the order it generates (canonical input is enforced, not
     repaired).
@@ -265,15 +293,21 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
         below[upper].append(lower)
         pairs.append((lower, upper))
     # one topological pass from the top down: an element's up-set is itself
-    # plus the up-sets of its covers, ready once all of those are
-    reach = np.zeros((n, n), dtype=bool)
+    # plus the up-sets of its declared covers, ready once all of those are.
+    # A declared pair (x, u) is implied when u lies strictly above another
+    # declared cover of x; the pairs that are not are the covers of x.
+    up = [0] * n
+    implied = [0] * n
     pending = [len(a) for a in above]
     ready = [x for x in range(n) if not pending[x]]
     while ready:
         x = ready.pop()
-        if above[x]:
-            reach[x] = reach[above[x]].any(axis=0)
-        reach[x, x] = True
+        union = strict = 0
+        for c in above[x]:
+            union |= up[c]
+            strict |= up[c] ^ 1 << c
+        up[x] = union | 1 << x
+        implied[x] = strict
         for lower in below[x]:
             pending[lower] -= 1
             if not pending[lower]:
@@ -288,9 +322,15 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
             x = next(c for c in above[x] if pending[c])
         i, j = sorted(seen[seen.index(x):])[:2]
         raise CyclicCovers(f"cover relation is cyclic through {i} and {j}")
-    lat = FiniteLattice(reach, name=name)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
+    leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    covers = tuple(
+        tuple(sorted({c for c in above[x] if not implied[x] >> c & 1})) for x in range(n)
+    )
+    lat = FiniteLattice(leq, name=name, _covers=covers)
     for lower, upper in pairs:
-        if upper not in lat.covers(lower):
+        if implied[lower] >> upper & 1:
             raise NonCoverEdge(f"pair {(lower, upper)} is implied transitively")
     return lat
 

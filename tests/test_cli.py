@@ -93,6 +93,40 @@ def test_lattice_check_and_make(tmp_path, capsys):
     assert doc["result"]["valid"] is False and doc["result"]["kind"] == "NotALattice"
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("4\n0 2\n0 3\n1 2\n1 3\n", "elements 2 and 3 have no unique join"),
+    ("3\n0 2\n1 2\n", "elements 0 and 1 have no unique meet"),  # every join, no bottom
+])
+def test_lattice_check_names_the_pair_without_a_bound(tmp_path, capsys, text, reason):
+    path = tmp_path / "bad.lat"
+    path.write_text(text)
+    code, doc, _ = run(capsys, "lattice", "check", "--lattice", str(path))
+    assert code == 1
+    assert doc["result"] == {"valid": False, "reason": reason, "kind": "NotALattice"}
+
+
+@pytest.mark.parametrize("alpha", [None, "1.5"])
+def test_cm_commands_leave_the_meet_table_unbuilt(tmp_path, capsys, monkeypatch, alpha):
+    from cmlat import lattice as lattice_mod
+
+    built = []
+    original = lattice_mod.read_lattice_file
+
+    def read(path):
+        built.append(original(path))
+        return built[-1]
+
+    monkeypatch.setattr(lattice_mod, "read_lattice_file", read)
+    lat_path, fn_path = tmp_path / "d3.lat", tmp_path / "f.txt"
+    write_lattice_file(diamond_lattice(3), lat_path)
+    fn_path.write_text("lattice d3\n0 1\n1 1/2\n2 1/2\n3 1/2\n4 1/4\n")
+    argv = ["cm", "check"] if alpha is None else ["cm", "power", "--alpha", alpha]
+    code, doc, _ = run(capsys, *argv, "--lattice", str(lat_path), "--fn", str(fn_path))
+    assert code in (0, 1) and doc is not None
+    (lat,) = built
+    assert "_meet" not in vars(lat)
+
+
 def test_lattice_check_input_error(tmp_path, capsys):
     bad = tmp_path / "garbage.lat"
     bad.write_text("x y z\n")
@@ -546,6 +580,10 @@ def test_schur_with_huge_coordinates_exits_two(capsys):
           for alpha in ("2", "1.5") for orders in ("1", "0", "-3")],
         *[(["cmseq", "hankel", "--x", "0.5", "--alpha", alpha, "--orders", orders], "BudgetExceeded: orders")
           for alpha in ("2", "1.5") for orders in ("65", "100000")],
+        # N5 takes no argument; one given is refused, not ignored
+        (["lattice", "check", "--lattice", "pentagon:7"], "input error: --lattice: bad value '7'"),
+        (["lattice", "make", "--kind", "pentagon:x", "--out-lattice", "{fn}.lat"],
+         "input error: --kind: bad value 'x'"),
     ],
 )
 def test_out_of_domain_parameters_are_typed_errors(tmp_path, capsys, argv, prefix):

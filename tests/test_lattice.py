@@ -1,12 +1,16 @@
 import itertools
+import os
 import random
-import re
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmlat
 from cmlat.errors import (
     CyclicCovers,
     ElementOutOfRange,
@@ -292,6 +296,16 @@ def test_tables_match_reference_on_catalog_and_products():
         assert is_distributive(lat) == reference_distributive(join, meet), lat.name
 
 
+def first_missing_pair(table, size, word):
+    """The message naming the first element, in ascending (size, index) order,
+    whose row of the reference ``table`` has a -1, with its least such
+    partner; ``size`` is the up-set size for joins, the down-set size for
+    meets (the meet table is the join table of the reversed order)."""
+    x = min((int(s), x) for x, s in enumerate(size) if (table[x] < 0).any())[1]
+    i, j = sorted((x, int(np.flatnonzero(table[x] < 0)[0])))
+    return f"elements {i} and {j} have no unique {word}"
+
+
 @st.composite
 def cover_documents(draw):
     """Random orders on n <= 10 elements, relabelled, given by their covers."""
@@ -318,15 +332,19 @@ def test_random_cover_documents_match_reference(doc):
     pairs = [(x, c) for x in range(n) for c in covers[x]]
     join, meet = reference_tables(leq)
     if (join < 0).any() or (meet < 0).any():
+        # joins first; when every join exists, a missing meet means no bottom
+        word, table, size = (("join", join, leq.sum(axis=1)) if (join < 0).any()
+                             else ("meet", meet, leq.sum(axis=0)))
+        assert word == "join" or not leq.all(axis=1).any()
         with pytest.raises(NotALattice) as exc:
             from_covers(n, pairs)
-        i, j, word = re.fullmatch(r"elements (\d+) and (\d+) have no unique (join|meet)",
-                                  str(exc.value)).groups()
-        assert {"join": join, "meet": meet}[word][int(i), int(j)] < 0
+        assert str(exc.value) == first_missing_pair(table, size, word)
     else:
         lat = from_covers(n, pairs)
         assert np.array_equal(lat._leq, leq)
-        assert np.array_equal(lat._join, join) and np.array_equal(lat._meet, meet)
+        assert np.array_equal(lat._join, join)
+        assert "_meet" not in vars(lat)  # built on first read
+        assert np.array_equal(lat._meet, meet) and not lat._meet.flags.writeable
         assert tuple(lat.covers(x) for x in lat.elements) == covers
         assert is_distributive(lat) == reference_distributive(join, meet)
 
@@ -408,3 +426,47 @@ def test_non_cover_edges_match_the_implied_edge_set():
                 from_covers(n, doc)
             assert str(exc.value) == f"pair {first} is implied transitively"
     assert min(seen.values()) > 50
+
+
+def test_cover_document_checks_hold_under_optimize():
+    """The closure, join and bottom checks of from_covers are not asserts:
+    under ``python -O`` each bad document still raises its typed error."""
+    script = """
+import sys
+from cmlat.errors import CyclicCovers, NonCoverEdge, NotALattice
+from cmlat.lattice import from_covers
+
+if sys.flags.optimize != 1:
+    sys.exit("not running under -O")
+for n, pairs in [(3, [(0, 1), (1, 2), (2, 0)]), (4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+                 (3, [(0, 2), (1, 2)]), (3, [(0, 1), (1, 2), (0, 2)])]:
+    try:
+        from_covers(n, pairs)
+    except (CyclicCovers, NotALattice, NonCoverEdge) as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    else:
+        print("built")
+"""
+    src = os.path.dirname(os.path.dirname(cmlat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines() == [
+        "CyclicCovers: cover relation is cyclic through 0 and 1",
+        "NotALattice: elements 2 and 3 have no unique join",
+        "NotALattice: elements 0 and 1 have no unique meet",
+        "NonCoverEdge: pair (0, 2) is implied transitively",
+    ], proc.stderr
+
+
+def test_boolean12_cover_document_build_peak():
+    # the meet table waits for its first read, so the build holds the order
+    # and join tables (16 + 64 MiB) and the closure's bitsets
+    pairs = boolean_lattice(12).cover_pairs()
+    tracemalloc.start()
+    try:
+        lat = from_covers(1 << 12, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "_meet" not in vars(lat) and lat.bottom == 0 and lat.top == 4095
+    assert peak <= 120 * 2**20, peak / 2**20
