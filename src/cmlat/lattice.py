@@ -1,10 +1,13 @@
 """Finite lattices given by cover relations.
 
-Elements are integers ``0..n-1``.  General lattices carry explicit order
-and join tables, and a meet table built on first read; they are capped at
-4096 elements.  Construction checks every join and requires a least element,
-which proves the lattice axioms: a finite join-semilattice with a bottom is a
-lattice.  Boolean lattices are backed by bit operations (join = union, meet =
+Elements are integers ``0..n-1``.  Every explicit lattice, the builtin
+chains, diamonds, products and materialized Boolean lattices included, is
+built by ``from_covers`` from its cover pairs: the pairs are closed into the
+order table, and the lattice carries that table, its join table and a meet
+table built on first read, capped at 4096 elements.  Filling the join table
+checks every join, and a least element is then required, which proves the
+lattice axioms: a finite join-semilattice with a bottom is a lattice.
+Boolean lattices are backed by bit operations (join = union, meet =
 intersection) so that ground sets up to 20 points stay usable without
 materializing 2^40-entry tables.
 """
@@ -34,45 +37,28 @@ SUBSET_JOIN_BUDGET = 1 << 20
 class FiniteLattice:
     """Immutable lattice with explicit n-by-n order and join tables.
 
-    Construction validates the lattice axioms.  A raw order table is checked
-    to be reflexive, antisymmetric and transitive while its covers are
-    found; ``from_covers`` passes the covers it read off the document
-    instead, since the closure of an acyclic relation is already an order.
-    Then the join table is filled, checking that every pair has a unique
-    least upper bound, and a least element is required: a finite
-    join-semilattice with a bottom is a lattice (the meet of x and y is the
-    join of their lower bounds, a nonempty set), so every meet exists.  The
-    meet table is built on first read; when there is no bottom it is built
-    at once, to name the first pair without a meet.
+    Built by ``from_covers``, which hands over the closed order table and
+    the covers it read off the document: the closure of an acyclic relation
+    is already an order, so nothing about the order is re-checked here.
+    The join table is filled, checking that every pair has a unique least
+    upper bound, and a least element is required: a finite join-semilattice
+    with a bottom is a lattice (the meet of x and y is the join of their
+    lower bounds, a nonempty set), so every meet exists.  The meet table is
+    built on first read; when there is no bottom it is built at once, to
+    name the first pair without a meet.
     """
 
-    def __init__(self, leq, name="", *, _covers=None):
-        leq = np.asarray(leq, dtype=bool)
-        n = leq.shape[0]
-        if leq.shape != (n, n):
-            raise NotALattice(f"order table must be square, got {leq.shape}")
-        if n < 1:
-            raise NotALattice("a lattice needs at least one element")
-        if n > GENERAL_SIZE_CAP:
-            raise SizeLimitExceeded(f"{n} elements exceeds cap {GENERAL_SIZE_CAP}")
-        self.n = n
+    def __init__(self, leq, covers, name=""):
+        self.n = len(leq)
         self.name = name
         self._leq = leq
         self._leq.setflags(write=False)
+        self._covers = covers
         up_size = leq.sum(axis=1, dtype=np.int32)
-        if _covers is None:
-            if not leq.diagonal().all():
-                raise NotALattice("order is not reflexive")
-            both = leq & leq.T
-            if both.sum() > n:
-                i, j = np.argwhere(both & ~np.eye(n, dtype=bool))[0]
-                raise NotALattice(f"order is not antisymmetric at ({i}, {j})")
-            _covers = _order_covers(leq, up_size)
-        self._covers = _covers
-        self._join = _join_table(leq, np.ascontiguousarray(leq.T), _covers, up_size, "join")
+        self._join = _join_table(leq, np.ascontiguousarray(leq.T), covers, up_size, "join")
         # every join exists, so the one maximal element is the top
         self.top = int(np.flatnonzero(up_size == 1)[0])
-        bottom = np.flatnonzero(up_size == n)
+        bottom = np.flatnonzero(up_size == self.n)
         if not bottom.size:
             self._meet  # some pair has no meet: the table names the first
         self.bottom = int(bottom[0])
@@ -81,9 +67,8 @@ class FiniteLattice:
     def _meet(self):
         """Meet table: the join table of the reversed order."""
         lower = [[] for _ in range(self.n)]
-        for x, covs in enumerate(self._covers):
-            for c in covs:
-                lower[c].append(x)
+        for x, c in self.cover_pairs():
+            lower[c].append(x)
         geq = np.ascontiguousarray(self._leq.T)
         return _join_table(geq, self._leq, lower, geq.sum(axis=1, dtype=np.int32), "meet")
 
@@ -193,39 +178,6 @@ class BooleanLattice(FiniteLattice):
 
 # --- table construction -----------------------------------------------------
 
-def _order_covers(leq, up_size):
-    """Covers of every element of a reflexive, antisymmetric order.
-
-    Elements are taken top-down (ascending up-set size).  The covers of x are
-    the minimal elements of its strict up-set S(x): the remaining element with
-    the largest up-set is minimal, so take it and strike its up-set until
-    nothing remains.  The order is transitive at x iff every y in S(x) has a
-    smaller up-set than x (so y was taken, and checked, before x) and the
-    up-set of each cover lies inside S(x).  This costs O(covers * n) rather
-    than an n-by-n-by-n product.
-    """
-    n = leq.shape[0]
-    covers = [()] * n
-    for x in np.argsort(up_size, kind="stable"):
-        strict = leq[x].copy()
-        strict[x] = False
-        early = strict & (up_size >= up_size[x])
-        if early.any():
-            z = np.flatnonzero(leq[np.argmax(early)] & ~leq[x])[0]
-            raise NotALattice(f"order is not transitive at ({x}, {z})")
-        rest = strict.copy()
-        covs = []
-        while rest.any():
-            c = int(np.argmax(np.where(rest, up_size, -1)))
-            outside = leq[c] & ~strict
-            if outside.any():
-                raise NotALattice(f"order is not transitive at ({x}, {np.argmax(outside)})")
-            covs.append(c)
-            rest &= ~leq[c]
-        covers[x] = tuple(sorted(covs))
-    return tuple(covers)
-
-
 def _join_table(leq, geq, covers, up_size, word):
     """Join table of the order ``leq`` (``geq`` is its transpose), filled
     top-down by cover recursion.
@@ -267,8 +219,8 @@ def _join_table(leq, geq, covers, up_size, word):
 # --- constructors ---------------------------------------------------------
 
 def from_covers(n, cover_pairs, name="") -> FiniteLattice:
-    """Build a lattice from its Hasse diagram.
-
+    """Build a lattice from its Hasse diagram: the one construction path of
+    every explicit lattice.  The size cap is checked before any pair is read.
     The order is closed in one top-down pass over Python-int bitsets, and the
     covers are the declared pairs that no other declared pair implies, so the
     order is neither re-checked nor its covers re-derived.  Raises
@@ -328,7 +280,7 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
     covers = tuple(
         tuple(sorted({c for c in above[x] if not implied[x] >> c & 1})) for x in range(n)
     )
-    lat = FiniteLattice(leq, name=name, _covers=covers)
+    lat = FiniteLattice(leq, covers, name=name)
     for lower, upper in pairs:
         if implied[lower] >> upper & 1:
             raise NonCoverEdge(f"pair {(lower, upper)} is implied transitively")
@@ -339,10 +291,7 @@ def chain_lattice(k, name="") -> FiniteLattice:
     """Total order on k elements."""
     if k < 1:
         raise DomainViolation("a chain needs at least one element")
-    if k > GENERAL_SIZE_CAP:
-        raise SizeLimitExceeded(f"{k} elements exceeds cap {GENERAL_SIZE_CAP}")
-    leq = np.triu(np.ones((k, k), dtype=bool))
-    return FiniteLattice(leq, name=name or f"chain{k}")
+    return from_covers(k, zip(range(k - 1), range(1, k)), name=name or f"chain{k}")
 
 
 def boolean_lattice(ground_n) -> BooleanLattice:
@@ -351,14 +300,10 @@ def boolean_lattice(ground_n) -> BooleanLattice:
 
 
 def diamond_lattice(k, name="") -> FiniteLattice:
-    """Bottom, k pairwise incomparable atoms and a top; k=3 is M3."""
+    """Bottom, k pairwise incomparable atoms and a top; k=3 is M3, k=1 a 3-chain."""
     if k < 1:
         raise DomainViolation("need at least one atom")
-    if k + 2 > GENERAL_SIZE_CAP:
-        raise SizeLimitExceeded(f"{k + 2} elements exceeds cap {GENERAL_SIZE_CAP}")
-    if k == 1:
-        return chain_lattice(3, name=name or "diamond1")
-    pairs = [(0, a) for a in range(1, k + 1)] + [(a, k + 1) for a in range(1, k + 1)]
+    pairs = (pair for a in range(1, k + 1) for pair in ((0, a), (a, k + 1)))
     return from_covers(k + 2, pairs, name=name or f"diamond{k}")
 
 
@@ -368,25 +313,30 @@ def pentagon_lattice() -> FiniteLattice:
 
 
 def product_lattice(a: FiniteLattice, b: FiniteLattice, name="") -> FiniteLattice:
-    """Componentwise order on pairs; element (i, j) becomes index i*b.n + j."""
-    a = materialize(a)
-    b = materialize(b)
-    if a.n * b.n > GENERAL_SIZE_CAP:
-        raise SizeLimitExceeded(f"{a.n * b.n} elements exceeds cap {GENERAL_SIZE_CAP}")
-    leq = np.kron(a._leq, b._leq)
-    return FiniteLattice(leq, name=name or f"({a.name}x{b.name})")
+    """Componentwise order on pairs; element (i, j) becomes index i*b.n + j.
+
+    A cover raises one coordinate along a cover of its factor.  The pairs
+    are generated lazily: an over-cap product fails before any is listed."""
+
+    def pairs():
+        for lower, upper in a.cover_pairs():
+            for j in range(b.n):
+                yield lower * b.n + j, upper * b.n + j
+        b_pairs = b.cover_pairs()
+        for i in range(0, a.n * b.n, b.n):
+            for lower, upper in b_pairs:
+                yield i + lower, i + upper
+
+    return from_covers(a.n * b.n, pairs(), name=name or f"({a.name}x{b.name})")
 
 
 def materialize(lat: FiniteLattice) -> FiniteLattice:
     """Explicit-table copy of any lattice (small Boolean ones included)."""
     if not isinstance(lat, BooleanLattice):
         return lat
-    n = lat.n
-    if n > GENERAL_SIZE_CAP:
+    if lat.n > GENERAL_SIZE_CAP:
         raise SizeLimitExceeded("boolean lattice too large to materialize")
-    masks = np.arange(n, dtype=np.int32)
-    leq = (masks[:, None] | masks[None, :]) == masks[None, :]
-    return FiniteLattice(leq, name=lat.name)
+    return from_covers(lat.n, lat.cover_pairs(), name=lat.name)
 
 
 # --- structural analysis ----------------------------------------------------

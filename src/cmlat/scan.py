@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernel import _float_power, _floats, _per_bit, subset_sums
-from ._scalars import coerce_values
+from ._scalars import RATIONAL, coerce_values
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
-from .randset import RandomSubset, _check_ground, _containment
+from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10
@@ -306,21 +306,28 @@ def singleton_alternating_sum(p, alpha) -> float:
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("masses must be positive")
     total = sum(vals)
-    bad = total != 1 if kind == "rational" else abs(total - 1.0) > 1e-9
+    bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
     if bad:
         raise DomainViolation(f"masses sum to {total}, not 1")
     if alpha <= 0:
         raise DomainViolation("alpha must be positive")
     a = float(alpha)
+    last = 1 << (n - 1)
     acc = []
+    slope = 0.0  # sum of s_B^(a-1) over the B that hold the last point
     for mask in range(1, 1 << n):
         s = math.fsum(float(vals[i]) for i in range(n) if mask >> i & 1)
         acc.append((-1.0 if (n - bin(mask).count("1")) & 1 else 1.0) * s**a)
+        if mask & last:
+            slope += s ** (a - 1)
     value = math.fsum(acc)
     if n >= 2:
         check = simplex_form([float(v) for v in vals[:-1]], a)
         scale = max(1.0, math.fsum(abs(t) for t in acc))
-        _ensure(abs(value - check) <= 1e-12 * scale, "identity with the simplex form failed")
+        # the simplex form reads 1 - s_B where the masses give (sum p) - s_B:
+        # to first order the sum's error moves each of those terms by a s_B^(a-1)
+        drift = abs(total - 1) * a * slope
+        _ensure(abs(value - check) <= 1e-12 * scale + drift, "identity with the simplex form failed")
     return value
 
 

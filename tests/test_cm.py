@@ -1,9 +1,6 @@
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -605,7 +602,7 @@ def test_is_cm_rejects_non_finite_or_negative_tolerance(tol):
     assert not is_cm(f).is_cm
 
 
-def test_threshold_check_still_raises_under_python_O():
+def test_threshold_check_still_raises_under_python_O(run_optimized):
     # the theorem check is an InvariantViolation, not an assert that -O strips
     script = """
 import sys
@@ -625,9 +622,7 @@ except InvariantViolation:
 else:
     print("returned")
 """
-    src = os.path.dirname(os.path.dirname(cm_module.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    proc = run_optimized(script)
     assert proc.stdout.strip() == "raised", proc.stderr
 
 

@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -10,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmlat
 from cmlat.errors import (
     CyclicCovers,
     ElementOutOfRange,
@@ -21,7 +17,6 @@ from cmlat.errors import (
 )
 from cmlat.lattice import (
     BooleanLattice,
-    FiniteLattice,
     boolean_lattice,
     catalog,
     chain_lattice,
@@ -372,15 +367,65 @@ def test_chain258_by_chain2_tables():
         assert is_distributive(lat)
 
 
-def test_order_axiom_violations():
-    with pytest.raises(NotALattice, match="not transitive"):
-        FiniteLattice(np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool))
-    with pytest.raises(NotALattice, match=r"not transitive at \(0, 2\)"):
-        FiniteLattice(np.array([[1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=bool))
-    with pytest.raises(NotALattice, match="not antisymmetric"):
-        FiniteLattice(np.array([[1, 1], [1, 1]], dtype=bool))
-    with pytest.raises(NotALattice, match="not reflexive"):
-        FiniteLattice(np.array([[0, 1], [0, 1]], dtype=bool))
+def dense_tables(lat):
+    """Order, join and meet tables read pair by pair off a lattice's own
+    leq/join/meet, so a Boolean lattice yields its bit-rule tables."""
+    els = list(lat.elements)
+    return (np.array([[lat.leq(x, y) for y in els] for x in els]),
+            np.array([[lat.join(x, y) for y in els] for x in els]),
+            np.array([[lat.meet(x, y) for y in els] for x in els]))
+
+
+PRODUCT_FACTORS = catalog(max_size=5) + [boolean_lattice(2)]
+
+
+@pytest.mark.parametrize("a, b", itertools.product(PRODUCT_FACTORS, repeat=2), ids=lambda lat: lat.name)
+def test_product_tables_are_componentwise(a, b):
+    """Element (i, j) is i*b.n + j: it lies below (k, l) when i <= k and
+    j <= l, joins and meets act on each coordinate, and its covers raise one
+    coordinate along a cover of that factor."""
+    lat = product_lattice(a, b)
+    (a_leq, a_join, a_meet), (b_leq, b_join, b_meet) = dense_tables(a), dense_tables(b)
+    m = b.n
+    i, j = np.divmod(np.arange(a.n * m), m)
+    assert np.array_equal(lat._leq, a_leq[np.ix_(i, i)] & b_leq[np.ix_(j, j)])
+    assert np.array_equal(lat._join, a_join[np.ix_(i, i)] * m + b_join[np.ix_(j, j)])
+    assert np.array_equal(lat._meet, a_meet[np.ix_(i, i)] * m + b_meet[np.ix_(j, j)])
+    covers = tuple(tuple(sorted([c * m + jj for c in a.covers(ii)] + [ii * m + c for c in b.covers(jj)]))
+                   for ii, jj in zip(i.tolist(), j.tolist()))
+    assert tuple(lat.covers(x) for x in lat.elements) == covers
+    assert (lat.bottom, lat.top) == (a.bottom * m + b.bottom, a.top * m + b.top)
+
+
+def test_diamond1_is_the_three_chain():
+    lat, chain = diamond_lattice(1), chain_lattice(3)
+    assert lat.name == "diamond1"
+    assert lat.cover_pairs() == chain.cover_pairs() == [(0, 1), (1, 2)]
+    for table in ("_leq", "_join", "_meet"):
+        assert np.array_equal(getattr(lat, table), getattr(chain, table))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: chain_lattice(10**9), "1000000000 elements exceeds cap 4096"),
+        (lambda: diamond_lattice(10**9), "1000000002 elements exceeds cap 4096"),
+        (lambda: product_lattice(boolean_lattice(20), chain_lattice(2)), "2097152 elements exceeds cap 4096"),
+        (lambda: materialize(boolean_lattice(13)), "boolean lattice too large to materialize"),
+    ],
+    ids=["chain", "diamond", "product", "materialize"],
+)
+def test_over_cap_constructors_fail_before_allocating(build, message):
+    # the cap is checked before a single cover pair is listed
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded) as exc:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 2**20, peak
 
 
 def _implied_pairs(n, pairs):
@@ -428,7 +473,7 @@ def test_non_cover_edges_match_the_implied_edge_set():
     assert min(seen.values()) > 50
 
 
-def test_cover_document_checks_hold_under_optimize():
+def test_cover_document_checks_hold_under_optimize(run_optimized):
     """The closure, join and bottom checks of from_covers are not asserts:
     under ``python -O`` each bad document still raises its typed error."""
     script = """
@@ -447,9 +492,7 @@ for n, pairs in [(3, [(0, 1), (1, 2), (2, 0)]), (4, [(0, 2), (0, 3), (1, 2), (1,
     else:
         print("built")
 """
-    src = os.path.dirname(os.path.dirname(cmlat.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    proc = run_optimized(script)
     assert proc.stdout.splitlines() == [
         "CyclicCovers: cover relation is cyclic through 0 and 1",
         "NotALattice: elements 2 and 3 have no unique join",

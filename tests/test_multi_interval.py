@@ -1,8 +1,6 @@
 import functools
 import json
 import math
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -78,7 +76,7 @@ def test_certificates(n, k):
         assert w["min_r"] > 1e-6
 
 
-def test_mass_pattern_is_checked_under_python_O():
+def test_mass_pattern_is_checked_under_python_O(run_optimized):
     # the invariant is not an assert: python -O keeps it
     script = (
         "from fractions import Fraction\n"
@@ -91,7 +89,7 @@ def test_mass_pattern_is_checked_under_python_O():
         "except InvariantViolation as exc:\n"
         "    print(__debug__, exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False mass pattern violated at size 4\n"
 

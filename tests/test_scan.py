@@ -288,6 +288,15 @@ def test_domain_checks():
         singleton_alternating_sum([0.5, -0.5, 1.0], 1.5)
 
 
+def test_singleton_sum_tolerates_float_masses_like_singleton_set():
+    # off by more than SUM_TOL: bad input, as singleton_set says
+    with pytest.raises(DomainViolation, match="masses sum to"):
+        singleton_alternating_sum([0.5, 0.5 + 1e-10], 1.5)
+    # within SUM_TOL the simplex-form identity holds up to the sum's error
+    g = singleton_alternating_sum([0.5, 0.5 + 5e-13], 3.7)
+    assert g == pytest.approx(1 - 2 * 0.5**3.7, abs=1e-11)
+
+
 # --- Schur condition -------------------------------------------------------------
 
 
