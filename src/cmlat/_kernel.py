@@ -90,6 +90,15 @@ def _coerce(values):
     return vals, _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
 
 
+def _placed(values, masks, size) -> _Dense:
+    """The table of ``size`` entries with values[i] at masks[i] and zero
+    elsewhere, in the form :func:`_coerce` gives it."""
+    d = _coerce(values)[1]
+    table = np.zeros(size, dtype=float if d.den is None else _int_dtype([_magnitude(d.values)], size))
+    table[masks] = d.values
+    return _Dense(table, d.den)
+
+
 class _Lazy:
     """Base of a frozen dataclass whose field ``_FIELD``, a tuple of Python
     scalars, may be held only as the dense ``_dense``: the tuple is then

@@ -30,11 +30,10 @@ from ._kernel import (
     _Dense,
     _exp,
     _floats,
-    _int_dtype,
     _Lazy,
     _lowest_terms,
-    _numerators,
     _per_bit,
+    _placed,
     _power,
     _Table,
     _to_scalar,
@@ -330,10 +329,7 @@ def singleton_set(*ps) -> RandomSubset:
     if bad:
         raise InvalidProbabilityVector(f"masses sum to {total}, not 1")
     _check_ground(n)  # before the 2^n table is allocated
-    probs = [vals[0] * 0] * (1 << n)
-    for i, p in enumerate(vals):
-        probs[1 << i] = p
-    return RandomSubset(n, probs)
+    return RandomSubset._from_dense(n, _placed(vals, 1 << np.arange(n), 1 << n))
 
 
 def uniform_singleton(n: int) -> RandomSubset:
@@ -446,18 +442,13 @@ def parse_distribution_text(text: str) -> RandomSubset:
     listed = {}
     for _, mask, p in entries:
         listed[mask] = listed.get(mask, 0) + p
-    total = sum(listed.values())
-    masks = list(listed)
+    masses = list(listed.values())
+    total = sum(masses)
     if total != 1 and abs(float(total) - 1.0) <= SUM_TOL:
         # decimal prints of binary64 masses: keep them, but as floats
-        law = _Dense(np.zeros(1 << n))
-        law.values[masks] = [float(p) for p in listed.values()]
-    else:
-        nums, den = _numerators(listed.values())
-        law = _Dense(np.zeros(1 << n, dtype=_int_dtype(nums, 1 << n)), den)
-        law.values[masks] = nums
+        masses = [float(p) for p in masses]
     try:
-        return RandomSubset._from_dense(n, law)
+        return RandomSubset._from_dense(n, _placed(masses, list(listed), 1 << n))
     except InvalidProbabilityVector as exc:
         raise FormatError(str(exc)) from exc
 

@@ -6,7 +6,7 @@ This module scans min_A q over an alpha grid to map the interval components
 of S_X, bounds root counts by coefficient sign changes, verifies the
 simplex-form negativity/boundary facts behind the singleton-support case,
 and constructs distributions whose S_X provably has many components.
-Every power b^alpha is libm's ``pow``, a grid's through `_kernel._float_power`.
+Every power b^alpha is libm's ``pow``; a grid's or a mask table's is one `_kernel._float_power` call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _float_power, _floats, _per_bit, subset_sums
+from ._kernel import _Dense, _float_power, _floats, _int_dtype, _numerators, _per_bit, _placed, _to_scalars
 from ._scalars import RATIONAL, coerce_values
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
 from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
@@ -262,6 +262,14 @@ def _scan(x: RandomSubset, T, step):
 
 
 # --- simplex forms and Schur condition --------------------------------------------
+# Each refuses more than GROUND_CAP points and a NaN or infinite alpha before its 2^n tables.
+
+
+def _set_sums(values) -> _Dense:
+    """s_B, the sum of values[i] over i in B (in index order), for every mask B."""
+    n = len(values)
+    d = _placed(values, 1 << np.arange(n), 1 << n)
+    return _Dense(_per_bit(d.values, n, np.add), d.den)
 
 
 def simplex_form(x, alpha) -> float:
@@ -275,23 +283,17 @@ def simplex_form(x, alpha) -> float:
     n = len(vals)
     if n < 1:
         raise DomainViolation("need at least one coordinate")
+    _check_ground(n)
     if any(v < 0 for v in vals) or sum(vals) > 1 + 1e-12:
         raise DomainViolation("point must satisfy x_i >= 0 and sum <= 1")
-    if alpha <= 0:
-        raise DomainViolation("alpha must be positive")
-    singletons = [0.0] * (1 << n)
-    for i, v in enumerate(vals):
-        singletons[1 << i] = float(v)
-    sums = subset_sums(singletons, n)
-    terms = [1.0]
+    if not 0 < alpha < math.inf:  # a NaN power would pass for a value
+        raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
     a = float(alpha)
-    for mask in range(1, 1 << n):
-        k = bin(mask).count("1")
-        s = min(sums[mask], 1.0)
-        sgn_pos = -1.0 if (n + 1 - k) & 1 else 1.0
-        sgn_com = -1.0 if k & 1 else 1.0
-        terms.append(sgn_pos * s**a + sgn_com * (1.0 - s) ** a)
-    return math.fsum(terms)
+    s = np.minimum(_set_sums([float(v) for v in vals]).values[1:], 1.0)
+    k = _set_sums([1] * n).values[1:]  # |B|
+    terms = np.where((n + 1 - k) & 1, -1.0, 1.0) * _float_power(s, a)
+    terms += np.where(k & 1, -1.0, 1.0) * _float_power(1.0 - s, a)
+    return math.fsum([1.0, *terms.tolist()])
 
 
 def singleton_alternating_sum(p, alpha) -> float:
@@ -305,25 +307,24 @@ def singleton_alternating_sum(p, alpha) -> float:
     n = len(vals)
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("masses must be positive")
+    _check_ground(n)
     total = sum(vals)
     bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
     if bad:
         raise DomainViolation(f"masses sum to {total}, not 1")
-    if alpha <= 0:
-        raise DomainViolation("alpha must be positive")
+    if not 0 < alpha < math.inf:  # a NaN power would pass for a value
+        raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
     a = float(alpha)
-    last = 1 << (n - 1)
-    acc = []
-    slope = 0.0  # sum of s_B^(a-1) over the B that hold the last point
-    for mask in range(1, 1 << n):
-        s = math.fsum(float(vals[i]) for i in range(n) if mask >> i & 1)
-        acc.append((-1.0 if (n - bin(mask).count("1")) & 1 else 1.0) * s**a)
-        if mask & last:
-            slope += s ** (a - 1)
-    value = math.fsum(acc)
+    floats = [float(v) for v in vals]
+    # s_B: the rounded masses summed exactly, over a power of two, then rounded once (their fsum)
+    s = _floats(_set_sums(list(map(Fraction, floats))))[1:]
+    acc = np.where((n - _set_sums([1] * n).values[1:]) & 1, -1.0, 1.0) * _float_power(s, a)
+    value = math.fsum(acc.tolist())
     if n >= 2:
-        check = simplex_form([float(v) for v in vals[:-1]], a)
-        scale = max(1.0, math.fsum(abs(t) for t in acc))
+        check = simplex_form(floats[:-1], a)
+        scale = max(1.0, math.fsum(np.abs(acc).tolist()))
+        # s_B^(a-1) added in mask order over the B that hold the last point
+        slope = float(np.cumsum(_float_power(s[(1 << (n - 1)) - 1 :], a - 1))[-1])
         # the simplex form reads 1 - s_B where the masses give (sum p) - s_B:
         # to first order the sum's error moves each of those terms by a s_B^(a-1)
         drift = abs(total - 1) * a * slope
@@ -386,11 +387,13 @@ def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
     n = len(vals)
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("weights must be positive")
-    terms = []
-    for mask in range(1, 1 << n):
-        s = sum(vals[i] for i in range(n) if mask >> i & 1)
-        terms.append(((-1) ** ((n - bin(mask).count("1")) & 1), s))
-    poly = ExponentialPolynomial(terms)
+    _check_ground(n)
+    alphas = [float(alpha) for alpha in alpha_grid]
+    bad = [a for a in alphas if not math.isfinite(a)]
+    if bad:
+        raise DomainViolation(f"grid entries must be finite, got {bad[0]}")
+    signs = np.where((n - _set_sums([1] * n).values[1:]) & 1, -1, 1).tolist()
+    poly = ExponentialPolynomial(zip(signs, _to_scalars(_set_sums(vals))[1:]))
 
     def scale_at(alpha):
         return math.fsum(abs(float(c)) * float(b) ** float(alpha) for c, b in poly.terms)
@@ -403,8 +406,7 @@ def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
         integer_values.append((j, qj))
     grid_values = []
     negatives = []
-    for alpha in alpha_grid:
-        a = float(alpha)
+    for a in alphas:
         if a <= 0:
             continue
         qa = poly(a)
@@ -463,10 +465,6 @@ class _SizeClassLaw:
         for b in range(2, n + 1):
             self.coefs[b, n - b :] = [(-1.0 if (b - a) & 1 else 1.0) * math.comb(b, a) for a in range(b, 0, -1)]
 
-    def value(self, b, alpha: float) -> float:
-        """r_b(alpha): an exactly rounded sum of libm powers."""
-        return math.fsum(c * w**alpha for c, w in zip(self.coefs[b, self.n - b :].tolist(), self.w[self.n - b :]))
-
     def grid(self, alphas, sizes) -> np.ndarray:
         """r_b over the grid ``alphas``, one row per b in ``sizes``."""
         return _term_sums(self.coefs[list(sizes)], _float_power(np.array(self.w)[:, None], alphas))
@@ -487,9 +485,12 @@ def _grid(lo, hi, step, include_hi=False):
 
 def _midpoint_negatives(law, level):
     """Item 2: the least r_b at j + 1/2 is negative, for every j < n - level - 1."""
-    for j in range(0, law.n - level - 1):
-        alpha = j + 0.5
-        vals = {b: law.value(b, alpha) for b in range(2, law.n + 1)}
+    n = law.n
+    alphas = np.arange(n - level - 1) + 0.5
+    powers = _float_power(np.array(law.w)[:, None], alphas)
+    for j, alpha in enumerate(alphas.tolist()):
+        # r_b(alpha): an exactly rounded sum of libm powers
+        vals = {b: math.fsum((law.coefs[b, n - b :] * powers[n - b :, j]).tolist()) for b in range(2, n + 1)}
         best_b = min(vals, key=vals.get)
         yield {"alpha": alpha, "size": best_b, "value": vals[best_b]}, vals[best_b] < -CERT_MARGIN
 
@@ -650,12 +651,9 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
     epsilons = [eps for eps, *_ in chain]
     _, masses, delta, report = chain[-1]
 
-    probs = [Fraction(0)] * (1 << n)
-    for mask in range(1 << n):
-        probs[mask] = masses[bin(mask).count("1")]
-    x = RandomSubset(n, probs)
-    total = sum(math.comb(n, s) * masses[s] for s in range(n + 1))
-    _ensure(total == 1, f"size masses sum to {total}, not 1")
+    nums, den = _numerators(masses)  # each set B has the mass masses[|B|]
+    by_size = np.array(nums, dtype=_int_dtype(nums, 1 << n))
+    x = RandomSubset._from_dense(n, _Dense(by_size[_set_sums([1] * n).values], den))
     return MultiIntervalCertificate(
         n=n,
         k=k,
