@@ -10,13 +10,15 @@ Grid-shaped results additionally go to CSV via --csv.  Exit codes:
 2 for usage or input errors.
 
 A handler imports the modules of its command when it runs, so a command
-loads no module it does not use.
+loads no module it does not use; the parser registers the commands of the
+named group alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from fractions import Fraction
 
@@ -320,15 +322,25 @@ def cmd_randset_dist(args):
     return {"void_distance": randset_mod.void_distance(x, y)}, EXIT_OK
 
 
+def _grid_rows(n, alphas, values, masks):
+    """The CSV rows (alpha, min_q, argmin mask, its set) of a scan grid,
+    converted in chunks of ``CHUNK_ROWS``."""
+    from .randset import CHUNK_ROWS, mask_set_texts
+
+    sets = mask_set_texts(n)
+    for start in range(0, len(alphas), CHUNK_ROWS):
+        chunk = slice(start, start + CHUNK_ROWS)
+        argmins = masks[chunk].tolist()
+        yield from zip(alphas[chunk].tolist(), values[chunk].tolist(), argmins, sets(argmins))
+
+
 def cmd_scan_s_set(args):
     from . import scan as scan_mod
-    from .randset import mask_sets
 
     x = load_distribution(args.dist, "--dist")
-    result, grid_rows = scan_mod._scan(x, args.T, args.step)
-    sets = mask_sets([argmin for _, _, argmin in grid_rows], x.n)
-    rows = [(*row, s) for row, s in zip(grid_rows, sets)]
-    _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), rows)
+    result, grid = scan_mod._scan(x, args.T, args.step)
+    if args.csv:
+        _write_csv(args.csv, ("alpha", "min_q", "argmin_subset", "argmin_set"), _grid_rows(x.n, *grid))
     components = [
         {"lo": c.lo, "hi": c.hi, "point": c.is_point, "margin": c.margin} for c in result.components
     ]
@@ -417,103 +429,125 @@ def cmd_cmseq_hankel(args):
 # --- parser -----------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group=None) -> argparse.ArgumentParser:
+    """The parser of every group; the commands of ``group`` alone when it
+    names one (a run parses one command), else the commands of every group."""
     parser = argparse.ArgumentParser(
         prog="cmlat",
         description="Completely monotone functions on finite lattices and random subsets.",
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    for name, commands in _GROUPS.items():
+        inner = parser_group(sub, name)
+        if group not in _GROUPS or group == name:
+            commands(functools.partial(_add, inner))
+    return parser
 
-    def add(group_parser, name, handler, config=(), **kwargs):
-        """Register a subcommand; ``config`` names the options its document echoes."""
-        p = group_parser.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler, config=config)
-        p.add_argument("--out", help="write the JSON document here instead of stdout")
-        return p
 
-    lattice = parser_group(sub, "lattice")
-    p = add(lattice, "check", cmd_lattice_check, help="validate a lattice document")
+def _add(group_parser, name, handler, config=(), **kwargs):
+    """Register a subcommand; ``config`` names the options its document echoes."""
+    p = group_parser.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler, config=config)
+    p.add_argument("--out", help="write the JSON document here instead of stdout")
+    return p
+
+
+def _lattice_commands(add):
+    p = add("check", cmd_lattice_check, help="validate a lattice document")
     p.add_argument("--lattice", required=True)
-    p = add(lattice, "make", cmd_lattice_make, help="write a builtin lattice to a file")
+    p = add("make", cmd_lattice_make, help="write a builtin lattice to a file")
     p.add_argument("--kind", required=True, help="chain:k | boolean:n | diamond:k | pentagon")
     p.add_argument("--out-lattice", required=True)
 
-    cm = parser_group(sub, "cm")
-    p = add(cm, "check", cmd_cm_check, help="complete-monotonicity verdict", config=("tol",))
+
+def _cm_commands(add):
+    p = add("check", cmd_cm_check, help="complete-monotonicity verdict", config=("tol",))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--tol", type=float, default=None)
-    p = add(cm, "power", cmd_cm_power, help="pointwise power plus verdict", config=("alpha", "tol"))
+    p = add("power", cmd_cm_power, help="pointwise power plus verdict", config=("alpha", "tol"))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out-fn")
-    p = add(cm, "extend", cmd_cm_extend, help="extend a c.m. function from a sublattice")
+    p = add("extend", cmd_cm_extend, help="extend a c.m. function from a sublattice")
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True, help="partial function document over the sublattice")
     p.add_argument("--out-fn")
-    p = add(cm, "accompany", cmd_cm_accompany, help="Poisson accompaniment exp(-m(1-f^(1/m)))", config=("m",))
+    p = add("accompany", cmd_cm_accompany, help="Poisson accompaniment exp(-m(1-f^(1/m)))", config=("m",))
     p.add_argument("--lattice", required=True)
     p.add_argument("--fn", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-fn")
 
-    randset = parser_group(sub, "randset")
-    p = add(randset, "void", cmd_randset_void, help="void functional table")
+
+def _randset_commands(add):
+    p = add("void", cmd_randset_void, help="void functional table")
     p.add_argument("--dist", required=True)
     p.add_argument("--csv")
-    p = add(randset, "invert", cmd_randset_invert, help="distribution from a void functional")
+    p = add("invert", cmd_randset_invert, help="distribution from a void functional")
     p.add_argument("--void", required=True, help="void-functional document")
     p.add_argument("--out-dist")
-    p = add(randset, "power-exists", cmd_randset_power_exists, help="does the alpha-th power exist",
+    p = add("power-exists", cmd_randset_power_exists, help="does the alpha-th power exist",
             config=("alpha", "tol"))
     p.add_argument("--dist", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--tol", type=float, default=None)
-    p = add(randset, "union", cmd_randset_union, help="union of m independent copies", config=("m",))
+    p = add("union", cmd_randset_union, help="union of m independent copies", config=("m",))
     p.add_argument("--dist", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--out-dist")
-    p = add(randset, "poisson", cmd_randset_poisson, help="union of Poisson(lam) copies", config=("lam",))
+    p = add("poisson", cmd_randset_poisson, help="union of Poisson(lam) copies", config=("lam",))
     p.add_argument("--dist", required=True)
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--out-dist")
-    p = add(randset, "dist", cmd_randset_dist, help="sup distance between void functionals")
+    p = add("dist", cmd_randset_dist, help="sup distance between void functionals")
     p.add_argument("--dist", required=True)
     p.add_argument("--dist2", required=True)
 
-    scan = parser_group(sub, "scan")
-    p = add(scan, "s-set", cmd_scan_s_set, help="map the divisibility set over [0, T]", config=("T", "step"))
+
+def _scan_commands(add):
+    p = add("s-set", cmd_scan_s_set, help="map the divisibility set over [0, T]", config=("T", "step"))
     p.add_argument("--dist", required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--csv")
-    p = add(scan, "multi-interval", cmd_scan_multi_interval, help="construct a k-component witness",
+    p = add("multi-interval", cmd_scan_multi_interval, help="construct a k-component witness",
             config=("n", "k", "step"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--step", type=float, default=1e-3)
-    p = add(scan, "schur", cmd_scan_schur, help="finite-difference Schur condition", config=("alpha", "h"))
+    p = add("schur", cmd_scan_schur, help="finite-difference Schur condition", config=("alpha", "h"))
     p.add_argument("--x", required=True, help="comma-separated interior point")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--h", type=float, default=None)
 
-    approx = parser_group(sub, "approx")
-    p = add(approx, "psi", cmd_approx_psi, help="approximation-rate ingredients per m",
+
+def _approx_commands(add):
+    p = add("psi", cmd_approx_psi, help="approximation-rate ingredients per m",
             config=("m", "m_list"))
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--m-list", dest="m_list")
     p.add_argument("--csv")
 
-    cmseq = parser_group(sub, "cmseq")
-    p = add(cmseq, "hankel", cmd_cmseq_hankel, help="Hankel positivity of two-atom powers",
+
+def _cmseq_commands(add):
+    p = add("hankel", cmd_cmseq_hankel, help="Hankel positivity of two-atom powers",
             config=("x", "alpha", "orders"))
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--orders", type=int, default=None)
 
-    return parser
+
+_GROUPS = {
+    "lattice": _lattice_commands,
+    "cm": _cm_commands,
+    "randset": _randset_commands,
+    "scan": _scan_commands,
+    "approx": _approx_commands,
+    "cmseq": _cmseq_commands,
+}
 
 
 def parser_group(sub, name):
@@ -523,8 +557,8 @@ def parser_group(sub, name):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result, code = args.handler(args)
         # read after the handler, which fills in defaults it computes (tol, orders)

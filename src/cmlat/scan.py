@@ -12,7 +12,8 @@ Every power b^alpha is libm's ``pow``; a grid's or a mask table's is one `_kerne
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +36,7 @@ EPS_START = Fraction(1, 4)
 MAX_HALVINGS = 60
 CERTIFY_BUDGET = 40000
 GRID_POINT_CAP = 10**6
-SCAN_BLOCK_BYTES = 4 << 20  # bound on one block of grid rows of q in _scan
+SCAN_BLOCK_BYTES = 1 << 18  # bound on the rows of q of one _min_q call in _scan
 COVER_SLACK = 1e-9  # IntervalComponent.covers widens a component by this much
 PROFILE_TOL = 1e-9  # power_difference_profile's tolerance, relative to sum |c_i| b_i^alpha
 
@@ -177,11 +178,12 @@ def _min_q(w, alphas):
 
 
 def _scan(x: RandomSubset, T, step):
-    """The scan behind :func:`scan_S`; also returns the grid rows
+    """The scan behind :func:`scan_S`; also returns the grid as three arrays
     (alpha, min_A q(A), argmin mask), the CSV view.
 
-    One containment table serves the grid (in row blocks of at most
-    SCAN_BLOCK_BYTES) and every refinement step (a block of one alpha).
+    One containment table serves the grid, the bisection of every run end and
+    the integer checks.  Each is one block of alphas, evaluated in chunks whose
+    rows of q take at most SCAN_BLOCK_BYTES (one row when a row is larger).
     """
     if not (math.isfinite(T) and math.isfinite(step)):
         raise DomainViolation(f"need finite T and step, got T={T}, step={step}")
@@ -190,79 +192,95 @@ def _scan(x: RandomSubset, T, step):
     if T / step > GRID_POINT_CAP:
         raise BudgetExceeded(f"grid of T/step = {T / step:.3g} points exceeds cap {GRID_POINT_CAP}")
     w = _floats(_containment(x))
+    rows_per_block = max(1, SCAN_BLOCK_BYTES // w.nbytes)
 
-    def min_q(alpha: float) -> float:
-        if alpha == 0:
-            return 0.0  # X_0 is the empty set; every q vanishes
-        return float(_min_q(w, np.array([alpha]))[0][0])
+    def min_q(alphas):
+        vals = np.empty(len(alphas))
+        masks = np.empty(len(alphas), dtype=int)
+        for start in range(0, len(alphas), rows_per_block):
+            block = slice(start, start + rows_per_block)
+            vals[block], masks[block] = _min_q(w, alphas[block])
+        zero = alphas == 0  # X_0 is the empty set; every q vanishes
+        vals[zero] = 0.0
+        masks[zero] = 0
+        return vals, masks
+
+    def exists_at(alphas):
+        return min_q(np.asarray(alphas, dtype=float))[0] >= -SCAN_MARGIN
 
     count = int(round(float(T) / step))
-    grid = np.array([i * step for i in range(count + 1)], dtype=float)
+    grid = np.asarray(np.arange(count + 1) * step, dtype=float)
     if grid[-1] < float(T) - 1e-12:
         grid = np.append(grid, float(T))
     grid[-1] = float(T)
-    vals = np.empty_like(grid)
-    argmin_masks = np.empty(len(grid), dtype=int)
-    rows_per_block = max(1, SCAN_BLOCK_BYTES // w.nbytes)
-    for start in range(0, len(grid), rows_per_block):
-        block = slice(start, start + rows_per_block)
-        vals[block], argmin_masks[block] = _min_q(w, grid[block])
-    vals[0] = 0.0
-    argmin_masks[0] = 0
-    rows = list(zip(grid.tolist(), vals.tolist(), argmin_masks.tolist()))
+    vals, argmin_masks = min_q(grid)
+    vals[0], argmin_masks[0] = 0.0, 0  # the first point counts as alpha = 0, even as T <= 1e-12
     exists = vals >= -SCAN_MARGIN
 
-    def _bisect(lo, hi):
-        # pred(lo) != pred(hi); returns the transition point to REFINE_TOL
-        plo = min_q(lo) >= -SCAN_MARGIN
-        while hi - lo > REFINE_TOL:
-            mid = 0.5 * (lo + hi)
-            if (min_q(mid) >= -SCAN_MARGIN) == plo:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    # runs of existing grid points, [first, last]
+    padded = np.concatenate([[False], exists, [False]])
+    firsts = np.flatnonzero(padded[1:] & ~padded[:-1])
+    lasts = np.flatnonzero(padded[:-1] & ~padded[1:]) - 1
+    # the grid steps [below, below + 1] that hold a run end: a run's start
+    # below its first point, its end above its last
+    below = np.concatenate([firsts[firsts > 0] - 1, lasts[lasts < len(grid) - 1]])
+    left, right, left_exists = grid[below], grid[below + 1], exists[below]
+    while True:  # every bracket bisects to REFINE_TOL; each step evaluates all open midpoints
+        open_ = np.flatnonzero(right - left > REFINE_TOL)
+        if not len(open_):
+            break
+        mid = 0.5 * (left[open_] + right[open_])
+        same = exists_at(mid) == left_exists[open_]
+        left[open_[same]] = mid[same]
+        right[open_[~same]] = mid[~same]
+    ends = dict(zip(below.tolist(), (0.5 * (left + right)).tolist()))
 
     components = []
-    i = 0
-    npts = len(grid)
-    while i < npts:
-        if not exists[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < npts and exists[j + 1]:
-            j += 1
-        lo = float(grid[i]) if i == 0 else _bisect(float(grid[i - 1]), float(grid[i]))
-        hi = float(grid[j]) if j == npts - 1 else _bisect(float(grid[j]), float(grid[j + 1]))
+    snaps = {}  # index of a point component -> the integer it snaps to if that exists
+    width_cut = max(step / 2, 4 * REFINE_TOL)
+    for i, j in zip(firsts.tolist(), lasts.tolist()):
+        lo = float(grid[i]) if i == 0 else ends[i - 1]
+        hi = float(grid[j]) if j == len(grid) - 1 else ends[j]
         run_margin = float(np.min(vals[i : j + 1]))
-        width_cut = max(step / 2, 4 * REFINE_TOL)
         if hi - lo <= width_cut:
             pos = 0.5 * (lo + hi)
             snapped = round(pos)
-            if abs(pos - snapped) <= step and 0 <= snapped <= T and min_q(float(snapped)) >= -SCAN_MARGIN:
-                pos = float(snapped)
+            if abs(pos - snapped) <= step and 0 <= snapped <= T:
+                snaps[len(components)] = snapped
             components.append(IntervalComponent(pos, pos, True, run_margin))
         else:
             components.append(IntervalComponent(lo, hi, False, run_margin))
-        i = j + 1
+    for k, snapped_exists in zip(snaps, exists_at(list(snaps.values())).tolist()):
+        if snapped_exists:
+            components[k] = replace(components[k], lo=float(snaps[k]), hi=float(snaps[k]))
 
-    for j in range(int(math.floor(float(T))) + 1):
-        if not any(c.covers(j) for c in components):
-            mj = min_q(float(j))
-            if mj >= -SCAN_MARGIN:
-                components.append(IntervalComponent(float(j), float(j), True, mj))
+    uncovered = [j for j in range(int(math.floor(float(T))) + 1) if not any(c.covers(j) for c in components)]
+    for j, mj in zip(uncovered, min_q(np.array(uncovered, dtype=float))[0].tolist()):
+        if mj >= -SCAN_MARGIN:
+            components.append(IntervalComponent(float(j), float(j), True, mj))
     components.sort(key=lambda c: c.lo)
     for a, b in zip(components, components[1:]):
         _ensure(a.hi < b.lo, "components must be disjoint and sorted")
     out = IntervalSet(tuple(components), (0.0, float(T)), float(step))
     for j in range(int(math.floor(float(T))) + 1):
         _ensure(out.covers(j), f"integer {j} must belong to S_X")
-    return out, rows
+    return out, (grid, vals, argmin_masks)
 
 
 # --- simplex forms and Schur condition --------------------------------------------
-# Each refuses more than GROUND_CAP points and a NaN or infinite alpha before its 2^n tables.
+# Each refuses more than GROUND_CAP points, and a NaN, infinite or out-of-float-range
+# alpha, before its 2^n tables.
+
+
+def _float_of(value, message) -> float:
+    """``float(value)``; a NaN or infinite value, or one beyond the float range,
+    raises DomainViolation(``message`` with the value shown).  The bound is
+    compared as a Python float, so 10**400 is refused before ``float`` raises
+    OverflowError (an np.float64 bound overflows on the comparison too)."""
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        shown = value if isinstance(value, float) else "a value beyond the float range"
+        raise DomainViolation(message.format(shown))
+    return float(value)
 
 
 def _set_sums(values) -> _Dense:
@@ -286,9 +304,9 @@ def simplex_form(x, alpha) -> float:
     _check_ground(n)
     if any(v < 0 for v in vals) or sum(vals) > 1 + 1e-12:
         raise DomainViolation("point must satisfy x_i >= 0 and sum <= 1")
-    if not 0 < alpha < math.inf:  # a NaN power would pass for a value
+    if not alpha > 0:  # NaN too: a NaN power would pass for a value
         raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
-    a = float(alpha)
+    a = _float_of(alpha, "alpha must be positive and finite, got {}")
     s = np.minimum(_set_sums([float(v) for v in vals]).values[1:], 1.0)
     k = _set_sums([1] * n).values[1:]  # |B|
     terms = np.where((n + 1 - k) & 1, -1.0, 1.0) * _float_power(s, a)
@@ -312,9 +330,9 @@ def singleton_alternating_sum(p, alpha) -> float:
     bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
     if bad:
         raise DomainViolation(f"masses sum to {total}, not 1")
-    if not 0 < alpha < math.inf:  # a NaN power would pass for a value
+    if not alpha > 0:  # NaN too: a NaN power would pass for a value
         raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
-    a = float(alpha)
+    a = _float_of(alpha, "alpha must be positive and finite, got {}")
     floats = [float(v) for v in vals]
     # s_B: the rounded masses summed exactly, over a power of two, then rounded once (their fsum)
     s = _floats(_set_sums(list(map(Fraction, floats))))[1:]
@@ -388,12 +406,13 @@ def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("weights must be positive")
     _check_ground(n)
-    alphas = [float(alpha) for alpha in alpha_grid]
-    bad = [a for a in alphas if not math.isfinite(a)]
-    if bad:
-        raise DomainViolation(f"grid entries must be finite, got {bad[0]}")
-    signs = np.where((n - _set_sums([1] * n).values[1:]) & 1, -1, 1).tolist()
-    poly = ExponentialPolynomial(zip(signs, _to_scalars(_set_sums(vals))[1:]))
+    alphas = [_float_of(alpha, "grid entries must be finite, got {}") for alpha in alpha_grid]
+    # equal sums merge here, so only the distinct ones become Python scalars
+    sums = _set_sums(vals)
+    bases, which = np.unique(sums.values[1:], return_inverse=True)
+    coefs = np.zeros(len(bases), dtype=np.int64)
+    np.add.at(coefs, which, np.where((n - _set_sums([1] * n).values[1:]) & 1, -1, 1))
+    poly = ExponentialPolynomial(zip(coefs.tolist(), _to_scalars(_Dense(bases, sums.den))))
 
     def scale_at(alpha):
         return math.fsum(abs(float(c)) * float(b) ** float(alpha) for c, b in poly.terms)

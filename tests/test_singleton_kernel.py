@@ -8,6 +8,7 @@ same bits, the same report and the same errors.
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -177,11 +178,19 @@ def test_alternating_sum_is_the_per_mask_loop(raw, rational, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(counts, exact, st.lists(st.floats(-1.0, 12.0), max_size=5), st.data())
+@given(st.one_of(counts, st.lists(st.integers(1, 3), min_size=1, max_size=10)), exact,
+       st.lists(st.floats(-1.0, 12.0), max_size=5), st.data())
 def test_profile_is_the_per_mask_loop(raw, rational, grid, data):
-    # unnormalised weights: a count itself, or a float in (0, 3]
+    # unnormalised weights: a count itself, or a float in (0, 3]; counts of
+    # 1..3 repeat, so many subsets share a sum and their terms merge
     w = [Fraction(r) for r in raw] if rational else [r / 3.5e5 for r in raw]
     grid = grid + [data.draw(st.integers(1, len(w) + 1))]
+    assert _outcome(power_difference_profile, w, grid) == _outcome(_loop_profile, w, grid)
+
+
+@pytest.mark.parametrize("w", [[1] * 12, [0.25] * 12, [1, 2] * 7], ids=["ones", "quarters", "pairs"])
+def test_profile_of_repeated_weights_is_the_per_mask_loop(w):
+    grid = [len(w) - 1.5, len(w) - 0.5, 2.25]
     assert _outcome(power_difference_profile, w, grid) == _outcome(_loop_profile, w, grid)
 
 
@@ -251,6 +260,26 @@ def test_non_finite_exponents_are_domain_errors(alpha):
     ):
         with pytest.raises(DomainViolation):
             call()
+
+
+BEYOND_FLOATS = {
+    "simplex_form": lambda alpha: simplex_form([0.3, 0.3], alpha),
+    "singleton_alternating_sum": lambda alpha: singleton_alternating_sum([0.5, 0.5], alpha),
+    "power_difference_profile": lambda alpha: power_difference_profile([1, 1], [1.5, alpha]),
+}
+
+
+@pytest.mark.parametrize("alpha", [10**400, Fraction(10**400, 3)])
+@pytest.mark.parametrize("name", sorted(BEYOND_FLOATS))
+def test_exponents_beyond_the_float_range_are_domain_errors(name, alpha):
+    # float(10**400) would raise an untyped OverflowError
+    with pytest.raises(DomainViolation, match="got a value beyond the float range"):
+        BEYOND_FLOATS[name](alpha)
+
+
+def test_the_largest_float_exponent_is_not_refused_as_out_of_range():
+    # the bound itself is a finite float: it passes the range check
+    assert math.isfinite(simplex_form([0.3, 0.3], int(sys.float_info.max)))
 
 
 def test_twenty_points_are_still_accepted():
