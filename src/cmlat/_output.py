@@ -16,6 +16,7 @@ The CLI imports this module when it emits, after the command's work.
 
 from __future__ import annotations
 
+import io
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -192,8 +193,9 @@ def layout(doc) -> list:
 def write(pieces, fh):
     """Write the pieces of :func:`layout` to ``fh``, each mask table by chunks."""
     for piece in pieces:
-        if isinstance(piece, str):
-            fh.write(piece)
+        if isinstance(piece, str):  # in slices: no encoded copy of a whole text exists
+            step = io.DEFAULT_BUFFER_SIZE
+            fh.writelines(piece[i:i + step] for i in range(0, len(piece), step))
         else:
             table, pad = piece
             for text in table.pieces(pad):

@@ -8,6 +8,7 @@ exact; one float anywhere demotes the whole list.
 from __future__ import annotations
 
 import math
+import numbers
 from decimal import Decimal
 from fractions import Fraction
 
@@ -45,6 +46,13 @@ def check_tolerance(tol):
     if not ok:
         raise DomainViolation(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
+
+
+def check_m(m):
+    """``int(m)`` for a positive integer, integral floats and numpy integers included."""
+    if not ((isinstance(m, numbers.Integral) or is_integral(m)) and m >= 1):
+        raise DomainViolation("m must be a positive integer")
+    return int(m)
 
 
 def is_integral(alpha) -> bool:

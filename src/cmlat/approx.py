@@ -16,6 +16,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cache
 
+from ._scalars import check_m
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
 from .errors import ChainLattice, DomainViolation, _ensure
 from .lattice import FiniteLattice
@@ -107,8 +108,7 @@ def sup_gap(m: int) -> float:
     with value 1/e).  A grid-plus-golden-section maximization cross-validates
     the closed form.
     """
-    if m < 1:
-        raise DomainViolation("m must be a positive integer")
+    m = check_m(m)
     if m == 1:
         value = _direct_max(lambda t: scalar_gap(t, 1), 0.0, 1.0)[1]
     else:
@@ -168,6 +168,7 @@ class ApproxReport:
 
 def two_point_set(m: int) -> RandomSubset:
     """P{empty} = 1 - 1/m, mass 1/(2m) on each of two singletons."""
+    m = check_m(m)
     return RandomSubset(
         2, [1 - Fraction(1, m), Fraction(1, 2 * m), Fraction(1, 2 * m), Fraction(0)]
     )
@@ -230,8 +231,7 @@ def lower_bound_witness(m: int) -> ApproxReport:
     separation with its threshold m0 from scanning; (iii) the limiting
     constant 1/(4 sqrt(e) (2 + sqrt(e))).
     """
-    if m < 1:
-        raise DomainViolation("m must be a positive integer")
+    m = check_m(m)
     x = two_point_set(m)
     # the union's void functional is V**m, with V(ab) = 1 - 1/m and
     # V(a) = V(b) = 1 - 1/(2m)
@@ -283,8 +283,7 @@ def lattice_square_witness(lat: FiniteLattice, m: int) -> SquareWitnessReport:
     The slack reported is g^m(a) g^m(d) - g^m(b) g^m(c) on the square, the
     same scalar quantities as for the two-point random set.
     """
-    if m < 1:
-        raise DomainViolation("m must be a positive integer")
+    m = check_m(m)
     square = None
     for b in lat.elements:
         for c in range(b + 1, lat.n):

@@ -24,13 +24,14 @@ from ._kernel import (
     _exp,
     _float_power,
     _floats,
+    _placed,
     _power,
     _Table,
     _to_scalar,
     _to_scalars,
     _transform,
 )
-from ._scalars import RATIONAL, check_tolerance, is_integral
+from ._scalars import RATIONAL, check_m, check_tolerance, is_integral
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -45,7 +46,7 @@ from .errors import (
     _ensure,
     _read_document,
 )
-from .lattice import BooleanLattice, FiniteLattice, _subset_joins, d_max, is_distributive, verify_distinct_joins
+from .lattice import BooleanLattice, FiniteLattice, _subset_joins, d_max, is_distributive
 
 DEFAULT_REL_TOL = 1e-9
 RECONSTRUCT_CLAMP = 1e-12
@@ -233,25 +234,23 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     return CmVerdict(not bad, indeterminate, min_weight, witness, float(tol))
 
 
-def is_cm_bruteforce(f: LatticeFunction, max_len=None) -> bool:
+def is_cm_bruteforce(f: LatticeFunction) -> bool:
     """Oracle from the raw definition: sweep iterated differences directly.
 
-    Checks every tuple of distinct elements up to ``max_len`` at every base
-    point (order is immaterial in the inclusion-exclusion sum, so unordered
-    combinations suffice), within BRUTEFORCE_BUDGET difference evaluations.
+    Checks every tuple of distinct elements at every base point (order is
+    immaterial in the inclusion-exclusion sum, so unordered combinations
+    suffice), within BRUTEFORCE_BUDGET difference evaluations.
     Independent of the Mobius route on purpose.
     """
     lat = f.lattice
     n = lat.n
-    if max_len is None:
-        max_len = n
-    cost = sum(math.comb(n, k) * (1 << k) for k in range(max_len + 1))
+    cost = sum(math.comb(n, k) * (1 << k) for k in range(n + 1))
     if cost > BRUTEFORCE_BUDGET:
         raise BudgetExceeded(f"{cost} difference evaluations exceed budget {BRUTEFORCE_BUDGET}")
     rational = f.kind == RATIONAL
     cutoff = 0 if rational else -DEFAULT_REL_TOL * float(max(f.max_value(), 1e-300))
     values = f.values
-    for k in range(max_len + 1):
+    for k in range(n + 1):
         for combo in itertools.combinations(lat.elements, k):
             joins = [lat.bottom] * (1 << k)
             for mask in range(1, 1 << k):
@@ -301,21 +300,16 @@ def sharpness_witness(L: FiniteLattice) -> LatticeFunction:
     """
     if not is_distributive(L):
         raise NotDistributive("sharpness construction needs a distributive lattice")
-    degrees = [len(L.covers(x)) for x in L.elements]
-    d = max(degrees)
+    d = d_max(L)
     if d < 2:
         raise NoSharpnessNeeded("chain lattice: every power of a c.m. function is c.m.")
-    x = degrees.index(d)
-    covs = L.covers(x)
-    weights = [Fraction(0)] * L.n
-    for j in range(d):
-        # join of all covers except the j-th: carries mass 1/d
-        others = [covs[i] for i in range(d) if i != j]
-        y = L.join_many([x, *others]) if others else x
-        weights[y] += Fraction(1, d)
-    distinct, _ = verify_distinct_joins(L, x)
-    _ensure(distinct, "subset joins must be distinct on a distributive lattice")
-    return reconstruct(WeightFunction(L, weights))
+    x = next(x for x in L.elements if len(L.covers(x)) == d)
+    # distributive: the 2^d joins are distinct, so 2^d <= n <= 2^20 = SUBSET_JOIN_BUDGET
+    joins = _subset_joins(L, x, L.covers(x))
+    _ensure(len(set(joins)) == len(joins), "subset joins must be distinct on a distributive lattice")
+    # the join of all covers except the j-th carries mass 1/d
+    tops = [joins[(1 << d) - 1 ^ 1 << j] for j in range(d)]
+    return reconstruct(WeightFunction._from_dense(L, _placed([Fraction(1, d)] * d, tops, L.n)))
 
 
 def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
@@ -362,8 +356,7 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
     Defined for f with values in [0, 1]; when f is m-divisible the result's
     k-th roots are c.m. for every k (compound-Poisson structure).
     """
-    if m < 1:
-        raise DomainViolation("m must be a positive integer")
+    m = check_m(m)
     if f.max_value() > 1:
         raise ValueOutOfUnitInterval("accompaniment needs values in [0, 1]")
     root = _float_power(_floats(f._dense), 1.0 / m)

@@ -95,32 +95,8 @@ class FiniteLattice:
         """Elements covering x (immediately above it)."""
         return self._covers[x]
 
-    def up_set(self, x):
-        """All y with y >= x, ascending by index."""
-        return tuple(int(j) for j in np.flatnonzero(self._leq[x]))
-
-    def join_many(self, xs):
-        acc = self.bottom
-        for x in xs:
-            acc = self.join(acc, x)
-        return acc
-
     def cover_pairs(self):
         return [(x, y) for x in self.elements for y in self.covers(x)]
-
-    def ranks_to_top(self):
-        """Length of the longest chain from each element up to the top."""
-        order = sorted(self.elements, key=lambda x: (self._leq[x].sum(), x))
-        rank = [0] * self.n
-        for x in order:  # every y > x precedes x in this order
-            covs = self._covers[x]
-            rank[x] = 1 + max(rank[y] for y in covs) if covs else 0
-        return rank
-
-    def mobius_order(self):
-        """Deterministic top-down order: ascending chain-rank, ties by index."""
-        rank = self.ranks_to_top()
-        return sorted(self.elements, key=lambda x: (rank[x], x))
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -133,7 +109,7 @@ class BooleanLattice(FiniteLattice):
     Join, meet and order are bitwise; nothing quadratic in 2^n is stored.
     """
 
-    def __init__(self, ground_n, name=""):
+    def __init__(self, ground_n):
         if not 1 <= ground_n <= BOOLEAN_GROUND_CAP:
             raise SizeLimitExceeded(
                 f"boolean ground set must have 1..{BOOLEAN_GROUND_CAP} points, got {ground_n}"
@@ -141,7 +117,7 @@ class BooleanLattice(FiniteLattice):
         # deliberately skip FiniteLattice.__init__: tables stay implicit
         self.ground_n = ground_n
         self.n = 1 << ground_n
-        self.name = name or f"boolean{ground_n}"
+        self.name = f"boolean{ground_n}"
         self.top = self.n - 1
         self.bottom = 0
 
@@ -156,21 +132,6 @@ class BooleanLattice(FiniteLattice):
 
     def covers(self, x):
         return tuple(x | (1 << i) for i in range(self.ground_n) if not x & (1 << i))
-
-    def up_set(self, x):
-        # supersets of x, ascending: iterate over subsets of the complement
-        comp = self.top ^ x
-        out = []
-        m = 0
-        while True:
-            out.append(x | m)
-            if m == comp:
-                break
-            m = (m - comp) & comp
-        return tuple(sorted(out))
-
-    def ranks_to_top(self):
-        return [self.ground_n - bin(x).count("1") for x in self.elements]
 
     def __repr__(self):
         return f"<BooleanLattice [{self.ground_n}] n={self.n}>"
@@ -287,11 +248,11 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
     return lat
 
 
-def chain_lattice(k, name="") -> FiniteLattice:
+def chain_lattice(k) -> FiniteLattice:
     """Total order on k elements."""
     if k < 1:
         raise DomainViolation("a chain needs at least one element")
-    return from_covers(k, zip(range(k - 1), range(1, k)), name=name or f"chain{k}")
+    return from_covers(k, zip(range(k - 1), range(1, k)), name=f"chain{k}")
 
 
 def boolean_lattice(ground_n) -> BooleanLattice:
@@ -299,12 +260,12 @@ def boolean_lattice(ground_n) -> BooleanLattice:
     return BooleanLattice(ground_n)
 
 
-def diamond_lattice(k, name="") -> FiniteLattice:
+def diamond_lattice(k) -> FiniteLattice:
     """Bottom, k pairwise incomparable atoms and a top; k=3 is M3, k=1 a 3-chain."""
     if k < 1:
         raise DomainViolation("need at least one atom")
     pairs = (pair for a in range(1, k + 1) for pair in ((0, a), (a, k + 1)))
-    return from_covers(k + 2, pairs, name=name or f"diamond{k}")
+    return from_covers(k + 2, pairs, name=f"diamond{k}")
 
 
 def pentagon_lattice() -> FiniteLattice:

@@ -42,7 +42,7 @@ from ._kernel import (
     subset_mobius,
     subset_sums,
 )
-from ._scalars import RATIONAL, check_tolerance, coerce_values, is_integral
+from ._scalars import RATIONAL, check_m, check_tolerance, coerce_values
 from .errors import (
     DomainViolation,
     FormatError,
@@ -226,21 +226,21 @@ def void_functional(x: RandomSubset) -> VoidFunctional:
     return VoidFunctional._from_dense(x.n, _Dense(w.values[::-1], w.den))
 
 
-def from_void(v: VoidFunctional, tol=MASS_TOL) -> RandomSubset:
+def from_void(v: VoidFunctional) -> RandomSubset:
     """Mobius inversion P{X=A} = sum_{B in A} (-1)^{|A|-|B|} V(complement of B).
 
     Raises NotAVoidFunctional with the witness subset when a mass lands below
-    -tol (exact negativity in rational mode); float masses in (-tol, 0) are
-    clamped to zero.
+    -MASS_TOL (exact negativity in rational mode); float masses in
+    (-MASS_TOL, 0) are clamped to zero.
     """
-    return _invert(v.n, v._dense, check_tolerance(tol))
+    return _invert(v.n, v._dense)
 
 
-def _invert(n, v: _Dense, tol) -> RandomSubset:
+def _invert(n, v: _Dense) -> RandomSubset:
     """:func:`from_void` on a dense void table."""
     masses = _transform(v.values[::-1], n, np.subtract)
     worst = int(np.argmin(masses))
-    if masses[worst] < (-tol if v.den is None else 0):
+    if masses[worst] < (-MASS_TOL if v.den is None else 0):
         mass = _to_scalar(v, masses[worst])
         raise NotAVoidFunctional(
             f"mass {mass} at {mask_set(worst, n)}: not completely monotone", witness=worst, mass=mass
@@ -286,13 +286,12 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
     rounding into V(empty)^m far from 1 (the same amplification
     :func:`poisson_union` avoids).
     """
-    if m < 1 or not is_integral(m):
-        raise DomainViolation("m must be a positive integer")
+    m = check_m(m)
     w = _containment(x)
     v = w.values[::-1]
-    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), int(m), overwrite=True)
+    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), m, overwrite=True)
     _check_void(vm)
-    return _invert(x.n, vm, MASS_TOL)
+    return _invert(x.n, vm)
 
 
 def poisson_union(x: RandomSubset, lam) -> RandomSubset:
@@ -310,7 +309,7 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     v = _floats(_containment(x))[::-1]  # a fresh table: the exponent is formed in place
     v -= v[0]
     v *= float(lam)
-    return _invert(x.n, _Dense(_exp(v)), MASS_TOL)
+    return _invert(x.n, _Dense(_exp(v)))
 
 
 def singleton_set(*ps) -> RandomSubset:
@@ -347,9 +346,7 @@ def void_distance(x: RandomSubset, y: RandomSubset) -> float:
 
 def is_m_divisible(x: RandomSubset, m: int) -> PowerVerdict:
     """Existence verdict for the 1/m-th power, at tolerance MASS_TOL."""
-    if m < 1 or not is_integral(m):
-        raise DomainViolation("m must be a positive integer")
-    m = int(m)
+    m = check_m(m)
     return power_exists(x, Fraction(1, m) if m == 1 else 1.0 / m)
 
 

@@ -83,7 +83,7 @@ def test_criterion_1_oracle_equivalence():
                 else _random_cm_function(lat, rng)
             )
             fast = is_cm(f).is_cm
-            brute = is_cm_bruteforce(f, lat.n)
+            brute = is_cm_bruteforce(f)
             if fast != brute:
                 failures.append((lat.name, f.values, fast, brute))
     _report("criterion 1: oracle equivalence over the catalog", failures, t0, 120)

@@ -4,6 +4,7 @@ import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cmlat.approx import (
@@ -19,10 +20,10 @@ from cmlat.approx import (
     two_point_set,
     upper_bound_witness,
 )
-from cmlat.cm import is_cm, power
-from cmlat.errors import BudgetExceeded, ChainLattice
+from cmlat.cm import LatticeFunction, is_cm, poisson_accompany, power
+from cmlat.errors import BudgetExceeded, ChainLattice, DomainViolation
 from cmlat.lattice import boolean_lattice, chain_lattice, diamond_lattice, materialize
-from cmlat.randset import RandomSubset, union_iid, void_functional
+from cmlat.randset import RandomSubset, is_m_divisible, union_iid, uniform_singleton, void_functional
 
 
 def residual(m, t):
@@ -238,3 +239,31 @@ def test_separation_is_the_rounded_exact_difference():
         rep = lower_bound_witness(m)
         assert rep.separation == float(exact), m
         assert rep.separation_holds == (exact >= rep.separation_bound), m
+
+
+# --- one rule for m ------------------------------------------------------------
+
+B2 = boolean_lattice(2)
+B2_FUNCTION = LatticeFunction(B2, [1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)])
+M_TAKERS = {
+    "union_iid": lambda m: union_iid(uniform_singleton(2), m),
+    "is_m_divisible": lambda m: is_m_divisible(uniform_singleton(2), m),
+    "poisson_accompany": lambda m: poisson_accompany(B2_FUNCTION, m),
+    "sup_gap": sup_gap,
+    "two_point_set": two_point_set,
+    "lower_bound_witness": lower_bound_witness,
+    "lattice_square_witness": lambda m: lattice_square_witness(B2, m),
+}
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(M_TAKERS))
+def test_m_must_be_a_positive_integer(name, m):
+    with pytest.raises(DomainViolation, match="^m must be a positive integer$"):
+        M_TAKERS[name](m)
+
+
+@pytest.mark.parametrize("m", [2.0, np.int64(2)], ids=["float", "numpy"])
+@pytest.mark.parametrize("name", sorted(M_TAKERS))
+def test_integral_m_is_the_integer(name, m):
+    assert M_TAKERS[name](m) == M_TAKERS[name](2)

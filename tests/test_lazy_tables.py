@@ -11,6 +11,7 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import json
 import math
 import operator
 import os
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmlat._output import layout, write
 from cmlat.cli import main
 from cmlat.cm import LatticeFunction, WeightFunction, is_cm, mobius_weights, power, sharpness_witness
 from cmlat.errors import FormatError, InvalidProbabilityVector
@@ -216,6 +218,25 @@ def test_mask_table_commands_stream_their_output(tmp_path, n, args, budget_mib):
     argv = ["randset", args[0], "--dist", str(path), *[a.format(tmp=tmp_path) for a in args[1:]]]
     peak = _traced_peak(argv)
     assert peak <= budget_mib << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_document_text_is_written_in_slices(tmp_path):
+    # a value list is no mask table, so its document is one text; the file
+    # object must not be handed all of it, or it encodes a copy of the whole
+    doc = {"values": [Fraction(k, 3**200) for k in range(1, 20001)]}
+    pieces = layout(doc)
+    assert sum(map(len, pieces)) > 2 << 20
+    path = tmp_path / "doc.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write(pieces, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    want = {"values": [str(v) for v in doc["values"]]}
+    assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert peak < 1 << 20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _old_distribution(verdict):

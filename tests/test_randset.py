@@ -651,5 +651,3 @@ def test_tolerance_must_be_finite_and_nonnegative(tol):
     # an infinite tolerance once let the 1.5-th power of the uniform singleton exist
     with pytest.raises(DomainViolation):
         power_exists(uniform_singleton(3), 1.5, tol=tol)
-    with pytest.raises(DomainViolation):
-        from_void(void_functional(uniform_singleton(3)), tol=tol)
