@@ -58,7 +58,6 @@ _EXPORTS = {
         "verify_distinct_joins",
     ),
     "moments": (
-        "HankelMatrix",
         "MomentSequence",
         "finite_diff_cm_check",
         "hankel_psd_check",

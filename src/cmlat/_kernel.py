@@ -90,10 +90,9 @@ def _coerce(values):
     return vals, _Dense(np.array(nums, dtype=_int_dtype(nums, len(nums))), den)
 
 
-def _placed(values, masks, size) -> _Dense:
-    """The table of ``size`` entries with values[i] at masks[i] and zero
-    elsewhere, in the form :func:`_coerce` gives it."""
-    d = _coerce(values)[1]
+def _placed(d: _Dense, masks, size) -> _Dense:
+    """The table of ``size`` entries with the i-th value of ``d`` at masks[i]
+    and zero elsewhere, in the form :func:`_coerce` gives it."""
     table = np.zeros(size, dtype=float if d.den is None else _int_dtype([_magnitude(d.values)], size))
     table[masks] = d.values
     return _Dense(table, d.den)
@@ -186,8 +185,14 @@ def _floats(d: _Dense) -> np.ndarray:
     (as ``float(Fraction)`` rounds it)."""
     if d.den is None:
         return d.values
-    if d.values.dtype == np.int64 and d.den < 1 << 53 and _magnitude(d.values) < 1 << 53:
-        return d.values / d.den  # both operands exact in binary64: one rounding
+    if d.values.dtype == np.int64:
+        if d.den < 1 << 53 and _magnitude(d.values) < 1 << 53:
+            return d.values / d.den  # both operands exact in binary64: one rounding
+        k = d.den.bit_length() - 1
+        if d.den == 1 << k and k <= 1022:
+            # the conversion is the one rounding; no nonzero num/2^k is below
+            # 2^-1022, the least normal float, so the scaling is exact
+            return np.ldexp(d.values.astype(float), -k)
     try:
         return np.array([v / d.den for v in d.values.tolist()])  # Python int division rounds once
     except OverflowError:
@@ -230,6 +235,16 @@ def _power(d: _Dense, alpha, overwrite=False) -> _Dense:
     if values.dtype == np.int64 and k * bits + len(values).bit_length() <= 63:
         return _Dense(values**k, d.den**k)
     return _Dense(values.astype(object) ** k, d.den**k)
+
+
+def _product(a: _Dense, b: _Dense) -> _Dense:
+    """a * b entry by entry over the shorter length: floats when either is
+    float, else exact, multiplied as Python ints and then put in lowest
+    terms and in :func:`_coerce`'s dtype."""
+    k = min(len(a.values), len(b.values))
+    if a.den is None or b.den is None:
+        return _Dense(_floats(a)[:k] * _floats(b)[:k])
+    return _lowest_terms(_Dense(a.values[:k].astype(object) * b.values[:k], a.den * b.den))
 
 
 def _list_transform(values, ground_n, op):

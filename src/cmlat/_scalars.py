@@ -50,14 +50,15 @@ def check_tolerance(tol):
 
 def check_m(m):
     """``int(m)`` for a positive integer, integral floats and numpy integers included."""
-    if not ((isinstance(m, numbers.Integral) or is_integral(m)) and m >= 1):
+    if not (is_integral(m) and m >= 1):
         raise DomainViolation("m must be a positive integer")
     return int(m)
 
 
 def is_integral(alpha) -> bool:
-    """True when the exponent is a nonnegative integer in disguise."""
-    if isinstance(alpha, int):
+    """True when the exponent is a nonnegative integer in disguise (numpy
+    integers and integral floats and Fractions included)."""
+    if isinstance(alpha, numbers.Integral):
         return alpha >= 0
     if isinstance(alpha, Fraction):
         return alpha.denominator == 1 and alpha >= 0
@@ -70,6 +71,8 @@ def pow_scalar(value, alpha):
     """``value ** alpha`` with the conventions 0**0 = 1 and 0**a = 0 for a > 0.
 
     Exact when ``alpha`` is integral and ``value`` rational; float otherwise.
+    The package powers whole tables with ``_kernel._power``; this per-entry
+    form is the reference the tests check that kernel against.
     """
     if alpha < 0:
         raise DomainViolation("exponent must be nonnegative")

@@ -26,6 +26,7 @@ from ._kernel import (
     _floats,
     _placed,
     _power,
+    _product,
     _Table,
     _to_scalar,
     _to_scalars,
@@ -309,7 +310,7 @@ def sharpness_witness(L: FiniteLattice) -> LatticeFunction:
     _ensure(len(set(joins)) == len(joins), "subset joins must be distinct on a distributive lattice")
     # the join of all covers except the j-th carries mass 1/d
     tops = [joins[(1 << d) - 1 ^ 1 << j] for j in range(d)]
-    return reconstruct(WeightFunction._from_dense(L, _placed([Fraction(1, d)] * d, tops, L.n)))
+    return reconstruct(WeightFunction._from_dense(L, _placed(_coerce([Fraction(1, d)] * d)[1], tops, L.n)))
 
 
 def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
@@ -369,7 +370,7 @@ def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction
     a, b = f.lattice, g.lattice
     if a is not b and (a.n != b.n or any(a.covers(x) != b.covers(x) for x in a.elements)):
         raise DomainViolation("functions live on different lattices")
-    return LatticeFunction(f.lattice, [a * b for a, b in zip(f.values, g.values)])
+    return LatticeFunction._from_dense(f.lattice, _product(f._dense, g._dense))
 
 
 # --- text exchange format ---------------------------------------------------

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernel import (
+    _coerce,
     _Dense,
     _exp,
     _floats,
@@ -42,7 +43,7 @@ from ._kernel import (
     subset_mobius,
     subset_sums,
 )
-from ._scalars import RATIONAL, check_m, check_tolerance, coerce_values
+from ._scalars import check_m, check_tolerance
 from .errors import (
     DomainViolation,
     FormatError,
@@ -320,15 +321,15 @@ def singleton_set(*ps) -> RandomSubset:
     n = len(ps)
     if n < 1:
         raise InvalidProbabilityVector("need at least one point")
-    vals, kind = coerce_values(ps)
+    vals, d = _coerce(ps)
     if min(vals) <= 0:
         raise InvalidProbabilityVector("singleton masses must be positive")
     total = sum(vals)
-    bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
+    bad = total != 1 if d.den is not None else abs(total - 1.0) > SUM_TOL
     if bad:
         raise InvalidProbabilityVector(f"masses sum to {total}, not 1")
     _check_ground(n)  # before the 2^n table is allocated
-    return RandomSubset._from_dense(n, _placed(vals, 1 << np.arange(n), 1 << n))
+    return RandomSubset._from_dense(n, _placed(d, 1 << np.arange(n), 1 << n))
 
 
 def uniform_singleton(n: int) -> RandomSubset:
@@ -445,7 +446,7 @@ def parse_distribution_text(text: str) -> RandomSubset:
         # decimal prints of binary64 masses: keep them, but as floats
         masses = [float(p) for p in masses]
     try:
-        return RandomSubset._from_dense(n, _placed(masses, list(listed), 1 << n))
+        return RandomSubset._from_dense(n, _placed(_coerce(masses)[1], list(listed), 1 << n))
     except InvalidProbabilityVector as exc:
         raise FormatError(str(exc)) from exc
 

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import _Dense, _float_power, _floats, _int_dtype, _numerators, _per_bit, _placed, _to_scalars
-from ._scalars import RATIONAL, coerce_values
+from ._kernel import _coerce, _Dense, _float_power, _floats, _int_dtype, _magnitude, _numerators, _per_bit, _to_scalars
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
 from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
 
@@ -283,11 +282,19 @@ def _float_of(value, message) -> float:
     return float(value)
 
 
-def _set_sums(values) -> _Dense:
-    """s_B, the sum of values[i] over i in B (in index order), for every mask B."""
-    n = len(values)
-    d = _placed(values, 1 << np.arange(n), 1 << n)
-    return _Dense(_per_bit(d.values, n, np.add), d.den)
+def _set_sums(d: _Dense) -> _Dense:
+    """s_B, the sum of the values of ``d`` (a table from `_coerce`) at the
+    i in B (in index order), for every mask B.  A sum has at most n terms,
+    so exact sums stay int64 while n times the largest value fits."""
+    n = len(d.values)
+    table = np.zeros(1 << n, dtype=float if d.den is None else _int_dtype([_magnitude(d.values)], n))
+    table[1 << np.arange(n)] = d.values
+    return _Dense(_per_bit(table, n, np.add), d.den)
+
+
+def _sizes(n) -> np.ndarray:
+    """|B| for every mask B."""
+    return _set_sums(_Dense(np.ones(n, dtype=np.int64), 1)).values
 
 
 def simplex_form(x, alpha) -> float:
@@ -297,7 +304,7 @@ def simplex_form(x, alpha) -> float:
     Defined on the closed simplex {x_i >= 0, sum x_i <= 1}; vanishes on its
     boundary and is strictly negative inside for alpha in (n-1, n).
     """
-    vals, _ = coerce_values(x)
+    vals, d = _coerce(x)
     n = len(vals)
     if n < 1:
         raise DomainViolation("need at least one coordinate")
@@ -307,8 +314,8 @@ def simplex_form(x, alpha) -> float:
     if not alpha > 0:  # NaN too: a NaN power would pass for a value
         raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
     a = _float_of(alpha, "alpha must be positive and finite, got {}")
-    s = np.minimum(_set_sums([float(v) for v in vals]).values[1:], 1.0)
-    k = _set_sums([1] * n).values[1:]  # |B|
+    s = np.minimum(_set_sums(_Dense(_floats(d))).values[1:], 1.0)
+    k = _sizes(n)[1:]
     terms = np.where((n + 1 - k) & 1, -1.0, 1.0) * _float_power(s, a)
     terms += np.where(k & 1, -1.0, 1.0) * _float_power(1.0 - s, a)
     return math.fsum([1.0, *terms.tolist()])
@@ -321,22 +328,22 @@ def singleton_alternating_sum(p, alpha) -> float:
 
     Checked internally to equal the simplex form at (p_1, ..., p_{n-1}).
     """
-    vals, kind = coerce_values(p)
+    vals, d = _coerce(p)
     n = len(vals)
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("masses must be positive")
     _check_ground(n)
     total = sum(vals)
-    bad = total != 1 if kind == RATIONAL else abs(total - 1.0) > SUM_TOL
+    bad = total != 1 if d.den is not None else abs(total - 1.0) > SUM_TOL
     if bad:
         raise DomainViolation(f"masses sum to {total}, not 1")
     if not alpha > 0:  # NaN too: a NaN power would pass for a value
         raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
     a = _float_of(alpha, "alpha must be positive and finite, got {}")
-    floats = [float(v) for v in vals]
+    floats = _floats(d).tolist()
     # s_B: the rounded masses summed exactly, over a power of two, then rounded once (their fsum)
-    s = _floats(_set_sums(list(map(Fraction, floats))))[1:]
-    acc = np.where((n - _set_sums([1] * n).values[1:]) & 1, -1.0, 1.0) * _float_power(s, a)
+    s = _floats(_set_sums(_coerce(map(Fraction, floats))[1]))[1:]
+    acc = np.where((n - _sizes(n)[1:]) & 1, -1.0, 1.0) * _float_power(s, a)
     value = math.fsum(acc.tolist())
     if n >= 2:
         check = simplex_form(floats[:-1], a)
@@ -401,17 +408,17 @@ def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
     """Evaluate q over the grid; check |q| small at integers <= n-1 and
     q >= -tol for alpha > n-1; report strictly negative non-integer points.
     Here tol = PROFILE_TOL * max(1, sum |c_i| b_i^alpha)."""
-    vals, _ = coerce_values(p)
+    vals, d = _coerce(p)
     n = len(vals)
     if n < 1 or any(v <= 0 for v in vals):
         raise DomainViolation("weights must be positive")
     _check_ground(n)
     alphas = [_float_of(alpha, "grid entries must be finite, got {}") for alpha in alpha_grid]
     # equal sums merge here, so only the distinct ones become Python scalars
-    sums = _set_sums(vals)
+    sums = _set_sums(d)
     bases, which = np.unique(sums.values[1:], return_inverse=True)
     coefs = np.zeros(len(bases), dtype=np.int64)
-    np.add.at(coefs, which, np.where((n - _set_sums([1] * n).values[1:]) & 1, -1, 1))
+    np.add.at(coefs, which, np.where((n - _sizes(n)[1:]) & 1, -1, 1))
     poly = ExponentialPolynomial(zip(coefs.tolist(), _to_scalars(_Dense(bases, sums.den))))
 
     def scale_at(alpha):
@@ -672,7 +679,7 @@ def construct_multi_interval(n: int, k: int, grid_step: float = 1e-3) -> MultiIn
 
     nums, den = _numerators(masses)  # each set B has the mass masses[|B|]
     by_size = np.array(nums, dtype=_int_dtype(nums, 1 << n))
-    x = RandomSubset._from_dense(n, _Dense(by_size[_set_sums([1] * n).values], den))
+    x = RandomSubset._from_dense(n, _Dense(by_size[_sizes(n)], den))
     return MultiIntervalCertificate(
         n=n,
         k=k,

@@ -7,14 +7,15 @@ silently moving verdicts; the scan and `power_exists` then share every bit.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmlat import scan
-from cmlat._kernel import _float_power, _floats, _per_bit
+from cmlat._kernel import _Dense, _float_power, _floats, _per_bit, _power
 from cmlat.cm import LatticeFunction, power
 from cmlat.errors import DomainViolation
 from cmlat.lattice import chain_lattice
@@ -110,3 +111,48 @@ def test_one_exponent_check_for_every_power(alpha):
         power_exists(x, alpha)
     with pytest.raises(DomainViolation, match=message):
         power(f, alpha)
+
+
+# --- exact tables to floats ------------------------------------------------------
+
+NUMERATORS = st.one_of(
+    st.integers(-(2**63) + 1, 2**63 - 1),
+    st.integers(2**63 - 2**12, 2**63 - 1),
+    st.integers(-(2**63) + 1, -(2**63) + 2**12),
+    st.integers(-(2**54), 2**54),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NUMERATORS, min_size=1, max_size=32),
+       st.one_of(st.sampled_from([0, 1, 52, 53, 54, 1021, 1022, 1023, 1024, 1100]), st.integers(0, 1100)))
+@example([2**62 + 2**10 + 1, -(2**62) - 2**10 - 1], 1085)  # converted then scaled, it would round twice
+def test_int64_over_a_power_of_two_is_float_of_fraction(nums, k):
+    """One rounding, in the int64-to-float64 conversion: the scaling by 2^-k
+    is exact up to k = 1022, and above it the Python division still rounds once."""
+    got = _floats(_Dense(np.array(nums, dtype=np.int64), 1 << k))
+    assert _same_bits(got, [float(Fraction(v, 1 << k)) for v in nums])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(NUMERATORS, min_size=1, max_size=16), st.integers(1, 2**70))
+def test_int64_over_any_denominator_is_float_of_fraction(nums, den):
+    got = _floats(_Dense(np.array(nums, dtype=np.int64), den))
+    assert _same_bits(got, [float(Fraction(v, den)) for v in nums])
+
+
+# --- numpy integer exponents --------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint8(2)], ids=["int64", "int32", "uint8"])
+def test_numpy_integer_exponent_is_the_integer(k):
+    f = LatticeFunction(chain_lattice(3), [1, Fraction(1, 3), Fraction(1, 7)])
+    assert power(f, k) == power(f, 2) and power(f, k).kind == "rational"
+    x = RandomSubset(2, [Fraction(1, 4), Fraction(1, 4), Fraction(1, 8), Fraction(3, 8)])
+    got, want = power_exists(x, k), power_exists(x, 2)
+    assert got.min_q == want.min_q and type(got.min_q) is Fraction
+    assert got.q_values == want.q_values and got.exists == want.exists
+    d = f._dense
+    for a, b in zip(_power(d, k), _power(d, 2)):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    assert _power(d, k).values.dtype == _power(d, 2).values.dtype

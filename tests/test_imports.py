@@ -14,7 +14,7 @@ SRC = os.path.dirname(os.path.dirname(cmlat.__file__))
 # the public names of `cmlat` as the eager namespace defined them
 PUBLIC = {
     "ApproxReport", "BooleanLattice", "CmVerdict", "ExponentialPolynomial", "FiniteLattice",
-    "HankelMatrix", "IntervalSet", "LatticeFunction", "MomentSequence", "MultiIntervalCertificate",
+    "IntervalSet", "LatticeFunction", "MomentSequence", "MultiIntervalCertificate",
     "PowerVerdict", "RandomSubset", "VoidFunctional", "WeightFunction", "approx", "boolean_lattice",
     "catalog", "chain_lattice", "cm", "cm_power_threshold_check", "construct_multi_interval",
     "cover_degree", "d_max", "delta", "diamond_lattice", "errors", "extend_cm", "finite_diff_cm_check",
@@ -88,7 +88,7 @@ COMMANDS = {
     "randset": (["randset", "power-exists", "--dist", "uniform-singleton:3", "--alpha", "1.5"], RANDSET),
     "scan": (["scan", "s-set", "--dist", "uniform-singleton:3", "--T", "3"], RANDSET | {"cmlat.scan"}),
     "approx": (["approx", "psi", "--m", "3"], CM | RANDSET | {"cmlat.approx"}),
-    "cmseq": (["cmseq", "hankel", "--x", "0.5", "--alpha", "1.5"], {"cmlat._scalars", "cmlat.moments"}),
+    "cmseq": (["cmseq", "hankel", "--x", "0.5", "--alpha", "1.5"], {"cmlat._scalars", "cmlat._kernel", "cmlat.moments"}),
 }
 
 

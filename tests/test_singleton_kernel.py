@@ -12,11 +12,13 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat import scan
+from cmlat._kernel import _coerce
 from cmlat.errors import CmlatError, DomainViolation, SizeLimitExceeded, _ensure
 from cmlat.randset import SUM_TOL, RandomSubset, singleton_set, subset_sums, uniform_singleton
 from cmlat.scan import (
@@ -210,6 +212,15 @@ def test_singleton_set_switches_to_python_ints_at_its_table_size():
     got = singleton_set(*p)
     assert got._dense.values.dtype == object
     _assert_same_table(got, _loop_singleton_set(p))
+
+
+@pytest.mark.parametrize("top, dtype", [(2**63 // 3 - 1, np.int64), (2**63 // 3 + 1, object)])
+def test_set_sums_stay_int64_while_n_sums_fit(top, dtype):
+    # a set sum adds at most n = 3 values, so the bound is 3 times the largest, not 8
+    vals = [top, 1, top - 5]
+    got = scan._set_sums(_coerce(vals)[1])
+    assert got.values.dtype == dtype and got.den == 1
+    assert got.values.tolist() == subset_sums([0, vals[0], vals[1], 0, vals[2], 0, 0, 0], 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
