@@ -77,9 +77,8 @@ def pow_scalar(value, alpha):
     if alpha < 0:
         raise DomainViolation("exponent must be nonnegative")
     if value == 0:
-        if alpha == 0:
-            return Fraction(1) if not isinstance(value, float) else 1.0
-        return Fraction(0) if not isinstance(value, float) else 0.0
+        zero = Fraction(0) if is_integral(alpha) and not isinstance(value, float) else 0.0
+        return zero + 1 if alpha == 0 else zero
     if is_integral(alpha):
         return value ** int(alpha)
     return float(value) ** float(alpha)

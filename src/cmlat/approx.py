@@ -11,6 +11,7 @@ union violates the necessary condition V({a,b}) >= V({a}) V({b}) by at least
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -18,7 +19,7 @@ from functools import cache
 
 from ._scalars import check_m
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
-from .errors import ChainLattice, DomainViolation, _ensure
+from .errors import ChainLattice, DomainViolation, SizeLimitExceeded, _ensure
 from .lattice import FiniteLattice
 from .randset import RandomSubset, poisson_union, union_iid, void_distance
 
@@ -28,37 +29,51 @@ SEPARATION_SCAN_CAP = 10**4
 ROUNDED_POWER_DIGITS = 640
 
 
-def sup_gap_argmax(m: int) -> float:
-    """The t in (0, 1) maximizing |t^m - e^{m(t-1)}|, for m >= 2.
+def _check_float_m(m) -> int:
+    """``check_m`` for the scalar bound, which takes m as a float: an m past
+    the float range raises SizeLimitExceeded."""
+    m = check_m(m)
+    if m > sys.float_info.max:
+        raise SizeLimitExceeded(f"m = {Decimal(m):.3g} exceeds the float range of the scalar bound")
+    return m
 
-    Solves -log(t)/(1-t) = m/(m-1).  Solved in the variable u = 1 - t (the
-    equation is perfectly conditioned there) by bisection plus Newton polish,
-    so the residual stays at roundoff even for large m.
-    """
+
+def _log_excess(u: float) -> float:
+    """-log(1-u)/u - 1 for 0 < u < 1, increasing from 0 to +inf.  For u <= 1/2
+    it is the series sum_{k>=1} u^k/(k+1) of positive terms, summed by Horner
+    to 2^-55 of its first, so it does not cancel for small u."""
+    if u > 0.5:
+        return -math.log1p(-u) / u - 1.0
+    total = 0.0
+    for k in range(math.ceil(55 / -math.log2(u)) + 1, 1, -1):
+        total = u * (1.0 / k + total)
+    return total
+
+
+def _sup_gap_u(m: int) -> float:
+    """u = 1 - t_m, the root of -log(1-u)/u - 1 = 1/(m-1) for m >= 2.
+
+    The left side lies between u/2 and u/(2(1-u)), so the root lies in
+    [2/(m+1), 2/(m-1)]; bisection halves that bracket, scaled to 1/m, down
+    to adjacent floats."""
     if m < 2:
         raise DomainViolation("the critical-point equation needs m >= 2")
-    target = m / (m - 1.0)
-
-    def g(u):
-        # -log(1-u)/u, increasing from 1 at u=0+ to +inf at u=1-
-        return -math.log1p(-u) / u
-
-    lo, hi = 1e-12, 1.0 - 1e-12
-    for _ in range(80):
+    target = 1.0 / (m - 1)
+    lo, hi = 2.0 / (m + 1), min(2.0 / (m - 1), 1.0 - 2.0**-53)
+    while True:
         mid = 0.5 * (lo + hi)
-        if g(mid) < target:
+        if not lo < mid < hi:
+            return mid
+        if _log_excess(mid) < target:
             lo = mid
         else:
             hi = mid
-    u = 0.5 * (lo + hi)
-    for _ in range(4):
-        # g'(u) = (u/(1-u) + log1p(-u)) / u^2
-        deriv = (u / (1.0 - u) + math.log1p(-u)) / (u * u)
-        step = (g(u) - target) / deriv
-        new = u - step
-        if 0.0 < new < 1.0:
-            u = new
-    return 1.0 - u
+
+
+def sup_gap_argmax(m: int) -> float:
+    """The t in (0, 1) maximizing |t^m - e^{m(t-1)}|, for m >= 2: the root of
+    -log(t)/(1-t) = m/(m-1), solved in u = 1 - t (see ``_sup_gap_u``)."""
+    return 1.0 - _sup_gap_u(_check_float_m(m))
 
 
 def _golden_max(fn, lo, hi):
@@ -103,19 +118,22 @@ def _direct_max(fn, lo, hi):
 def sup_gap(m: int) -> float:
     """sup over t in [0, 1] of |t^m - e^{m(t-1)}|.
 
-    Closed form t_m^{m-1} - t_m^m for m >= 2; direct maximization for m = 1
-    (the critical-point equation degenerates there and the sup sits at t = 0
-    with value 1/e).  A grid-plus-golden-section maximization cross-validates
-    the closed form.
+    Closed form t_m^{m-1} - t_m^m = u (1-u)^{m-1} for m >= 2, with u = 1 - t_m,
+    taken as u exp((m-1) log1p(-u)) so that it does not cancel for large m;
+    direct maximization for m = 1 (the critical-point equation degenerates
+    there and the sup sits at t = 0 with value 1/e).  A grid-plus-golden-
+    section maximization cross-validates the closed form.
     """
-    m = check_m(m)
+    m = _check_float_m(m)
     if m == 1:
         value = _direct_max(lambda t: scalar_gap(t, 1), 0.0, 1.0)[1]
     else:
-        t = sup_gap_argmax(m)
-        value = t ** (m - 1) - t**m
+        u = _sup_gap_u(m)
+        value = u * math.exp((m - 1) * math.log1p(-u))
     if m > 1:
-        _, direct = _direct_max(lambda t: scalar_gap(t, m), 0.0, 1.0)
+        # searched in s = m (1 - t): the gap at s is at most e^{-s}, far below
+        # the tolerance past s = 64, and a grid over t misses a peak of width 1/m
+        _, direct = _direct_max(lambda s: scalar_gap(1.0 - s / m, m), 0.0, min(m, 64))
         _ensure(abs(value - direct) <= 1e-9 * max(1.0, value), f"sup_gap({m}): {value} != direct {direct}")
     return value
 
@@ -231,7 +249,7 @@ def lower_bound_witness(m: int) -> ApproxReport:
     separation with its threshold m0 from scanning; (iii) the limiting
     constant 1/(4 sqrt(e) (2 + sqrt(e))).
     """
-    m = check_m(m)
+    m = _check_float_m(m)
     x = two_point_set(m)
     # the union's void functional is V**m, with V(ab) = 1 - 1/m and
     # V(a) = V(b) = 1 - 1/(2m)

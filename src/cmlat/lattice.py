@@ -4,12 +4,14 @@ Elements are integers ``0..n-1``.  Every explicit lattice, the builtin
 chains, diamonds, products and materialized Boolean lattices included, is
 built by ``from_covers`` from its cover pairs: the pairs are closed into the
 order table, and the lattice carries that table, its join table and a meet
-table built on first read, capped at 4096 elements.  Filling the join table
-checks every join, and a least element is then required, which proves the
-lattice axioms: a finite join-semilattice with a bottom is a lattice.
-Boolean lattices are backed by bit operations (join = union, meet =
-intersection) so that ground sets up to 20 points stay usable without
-materializing 2^40-entry tables.
+table built on first read, capped at 4096 elements.  Of v elements it holds
+v^2 bytes of order and 2 v^2 of join, plus 2 v^2 of meet once read: the
+tables index elements in int16, the narrowest type the cap allows.  Filling
+the join table checks every join, and a least element is then required,
+which proves the lattice axioms: a finite join-semilattice with a bottom is
+a lattice.  Boolean lattices are backed by bit operations (join = union,
+meet = intersection) so that ground sets up to 20 points stay usable
+without materializing 2^40-entry tables.
 """
 
 from __future__ import annotations
@@ -26,51 +28,61 @@ from .errors import (
     NonCoverEdge,
     NotALattice,
     SizeLimitExceeded,
+    _ensure,
     _read_document,
 )
 
 GENERAL_SIZE_CAP = 4096
 BOOLEAN_GROUND_CAP = 20
 SUBSET_JOIN_BUDGET = 1 << 20
+DISTRIBUTIVE_BLOCK_BYTES = 1 << 16  # bound on the int32 keys is_distributive sorts at once
+# int32 keys pack an element index with an up-set size or a second index: a
+# cap past 32767 would wrap them, so it fails here.  Below it, join and meet
+# tables hold indices in the narrowest signed type the cap allows.
+_ensure(GENERAL_SIZE_CAP << GENERAL_SIZE_CAP.bit_length() < 1 << 31,
+        f"cap {GENERAL_SIZE_CAP} overflows the int32 keys of the tables")
+INDEX_DTYPE = np.int8 if GENERAL_SIZE_CAP <= 1 << 7 else np.int16
 
 
 class FiniteLattice:
     """Immutable lattice with explicit n-by-n order and join tables.
 
-    Built by ``from_covers``, which hands over the closed order table and
-    the covers it read off the document: the closure of an acyclic relation
-    is already an order, so nothing about the order is re-checked here.
-    The join table is filled, checking that every pair has a unique least
-    upper bound, and a least element is required: a finite join-semilattice
-    with a bottom is a lattice (the meet of x and y is the join of their
-    lower bounds, a nonempty set), so every meet exists.  The meet table is
-    built on first read; when there is no bottom it is built at once, to
-    name the first pair without a meet.
+    Built by ``from_covers``, which hands over the closed order table, the
+    down-sets packed as bits (read to fill the join table, not kept) and the
+    covers: the closure of an acyclic relation is an order, not re-checked.
+    Filling the join table checks that every pair has a unique least upper
+    bound; with a least element that makes a lattice, the meet of x and y
+    being the join of their lower bounds.  The meet table is built on first
+    read, or at once when there is no bottom, to name a pair without one.
     """
 
-    def __init__(self, leq, covers, name=""):
+    def __init__(self, leq, down, covers, name=""):
         self.n = len(leq)
         self.name = name
         self._leq = leq
         self._leq.setflags(write=False)
         self._covers = covers
         up_size = leq.sum(axis=1, dtype=np.int32)
-        self._join = _join_table(leq, np.ascontiguousarray(leq.T), covers, up_size, "join")
+
+        def below(x):
+            return np.unpackbits(down[x], count=self.n, bitorder="little").view(bool)
+
+        self._join = _join_table(leq, below, covers, up_size, "join")
         # every join exists, so the one maximal element is the top
-        self.top = int(np.flatnonzero(up_size == 1)[0])
-        bottom = np.flatnonzero(up_size == self.n)
-        if not bottom.size:
+        sizes = up_size.tolist()
+        self.top = sizes.index(1)
+        if self.n not in sizes:
             self._meet  # some pair has no meet: the table names the first
-        self.bottom = int(bottom[0])
+        self.bottom = sizes.index(self.n)
 
     @functools.cached_property
     def _meet(self):
-        """Meet table: the join table of the reversed order."""
+        """Meet table: the join table of the transposed order, read in place."""
         lower = [[] for _ in range(self.n)]
         for x, c in self.cover_pairs():
             lower[c].append(x)
-        geq = np.ascontiguousarray(self._leq.T)
-        return _join_table(geq, self._leq, lower, geq.sum(axis=1, dtype=np.int32), "meet")
+        leq = self._leq
+        return _join_table(leq.T, leq.__getitem__, lower, leq.sum(axis=0, dtype=np.int32), "meet")
 
     # -- accessors ----------------------------------------------------------
 
@@ -139,34 +151,36 @@ class BooleanLattice(FiniteLattice):
 
 # --- table construction -----------------------------------------------------
 
-def _join_table(leq, geq, covers, up_size, word):
-    """Join table of the order ``leq`` (``geq`` is its transpose), filled
-    top-down by cover recursion.
+def _join_table(leq, below_row, covers, up_size, word):
+    """Join table of the order ``leq`` (a C-contiguous table or its
+    transposed view), filled top-down; ``below_row(x)`` is the bool row of
+    the elements below x.
 
     For incomparable x and y every upper bound of both lies above some cover
-    c of x, so join(x, y) is the least of {join(c, y) : c covers x}.  The
-    least candidate is the one with the largest up-set, provided it lies
-    below all the others.  The meet table is this table of the reversed
-    order.  Raises NotALattice naming the first pair found without one.
+    c of x, so join(x, y) is the least of {join(c, y) : c covers x}: the one
+    with the largest up-set, provided it lies below all the others.  Raises
+    NotALattice naming the first pair found without a join.
     """
     n = leq.shape[0]
     cols = np.arange(n, dtype=np.int32)
-    flat = leq.ravel()
+    # leq[i, j] is flat[i * step_i + j * step_j]: one byte an entry, in memory order
+    flat, (step_i, step_j) = leq.ravel(order="K"), leq.strides
     shift = n.bit_length()
     keys = (up_size << shift) | cols  # int32 keys order by up-set size first
-    join = np.empty((n, n), dtype=np.int32)
-    for x in np.argsort(up_size, kind="stable").tolist():
+    join = np.empty((n, n), dtype=INDEX_DTYPE)
+    sizes = up_size.tolist()
+    for x in sorted(range(n), key=sizes.__getitem__):
         covs = covers[x]
-        below = geq[x]
+        below = below_row(x)
         if len(covs) == 1:
             join[x] = np.where(below, x, join[covs[0]])
             continue
         if covs:
-            cand = join.take(covs, axis=0)
+            cand = join.take(covs, axis=0).astype(np.intp)  # int16 * step would wrap
             best = keys.take(cand).max(axis=0) & ((1 << shift) - 1)
             # above x the least candidate is y itself, so only the elements
             # incomparable to x can miss
-            found = flat.take(best * n + cand).all(axis=0) | below
+            found = flat.take(best * step_i + cand * step_j).all(axis=0) | below
         else:
             best, found = cols, below
         if not found.all():
@@ -182,12 +196,11 @@ def _join_table(leq, geq, covers, up_size, word):
 def from_covers(n, cover_pairs, name="") -> FiniteLattice:
     """Build a lattice from its Hasse diagram: the one construction path of
     every explicit lattice.  The size cap is checked before any pair is read.
-    The order is closed in one top-down pass over Python-int bitsets, and the
-    covers are the declared pairs that no other declared pair implies, so the
-    order is neither re-checked nor its covers re-derived.  Raises
-    CyclicCovers for cycles, NotALattice when some pair has no unique
-    lub/glb, and then NonCoverEdge for the first declared pair that is not a
-    cover of the order it generates (canonical input is enforced, not
+    Up-sets are closed in one top-down pass over Python-int bitsets, down-sets
+    in the reverse pass, and the covers are the declared pairs that no other
+    declared pair implies.  Raises CyclicCovers for cycles, NotALattice when
+    some pair has no unique lub/glb, and then NonCoverEdge for the first
+    declared pair that is not a cover (canonical input is enforced, not
     repaired).
     """
     if n < 1:
@@ -213,8 +226,10 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
     implied = [0] * n
     pending = [len(a) for a in above]
     ready = [x for x in range(n) if not pending[x]]
+    order = []
     while ready:
         x = ready.pop()
+        order.append(x)
         union = strict = 0
         for c in above[x]:
             union |= up[c]
@@ -235,13 +250,19 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
             x = next(c for c in above[x] if pending[c])
         i, j = sorted(seen[seen.index(x):])[:2]
         raise CyclicCovers(f"cover relation is cyclic through {i} and {j}")
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(u.to_bytes(width, "little") for u in up), dtype=np.uint8)
-    leq = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    # every element below x comes after x in order
+    down = [1 << x for x in range(n)]
+    for x in reversed(order):
+        for lower in below[x]:
+            down[x] |= down[lower]
     covers = tuple(
         tuple(sorted({c for c in above[x] if not implied[x] >> c & 1})) for x in range(n)
     )
-    lat = FiniteLattice(leq, covers, name=name)
+    width = (n + 7) // 8
+    up_bits, down_bits = (np.frombuffer(b"".join(s.to_bytes(width, "little") for s in sets), dtype=np.uint8)
+                          .reshape(n, width) for sets in (up, down))
+    leq = np.unpackbits(up_bits, axis=1, count=n, bitorder="little").view(bool)
+    lat = FiniteLattice(leq, down_bits, covers, name=name)
     for lower, upper in pairs:
         if implied[lower] >> upper & 1:
             raise NonCoverEdge(f"pair {(lower, upper)} is implied transitively")
@@ -321,15 +342,19 @@ def is_distributive(lat: FiniteLattice) -> bool:
     A lattice is distributive iff x v y = x v z and x ^ y = x ^ z imply
     y = z, i.e. iff for every x the pairs (x v y, x ^ y) are distinct over y.
     Each row of int32 keys (x v y) * n + (x ^ y) is sorted and checked for
-    repeats: O(n^2 log n), bounded by GENERAL_SIZE_CAP like every explicit
-    table.  Powerset lattices are distributive; their tables are not built.
+    repeats, in blocks of rows of at most DISTRIBUTIVE_BLOCK_BYTES (one row
+    when a row is larger), up to the first block with a repeat: O(n^2 log n)
+    time.  Powerset lattices are distributive; their tables are not built.
     """
     if isinstance(lat, BooleanLattice):
         return True
-    keys = lat._join * np.int32(lat.n)
-    keys += lat._meet
-    keys.sort(axis=1)
-    return not (keys[:, 1:] == keys[:, :-1]).any()
+    n = lat.n
+    rows = max(1, DISTRIBUTIVE_BLOCK_BYTES // (4 * n))
+    for i in range(0, n, rows):
+        keys = np.sort(lat._join[i:i + rows].astype(np.int32) * n + lat._meet[i:i + rows])
+        if (keys[:, 1:] == keys[:, :-1]).any():
+            return False
+    return True
 
 
 def verify_distinct_joins(lat: FiniteLattice, x):
@@ -372,22 +397,16 @@ def catalog(max_size=None):
 
     ``max_size`` filters by element count (the exhaustive-oracle suites use 6).
     """
+    square = from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], name="square")
     entries = [
-        chain_lattice(2),
-        chain_lattice(3),
-        chain_lattice(4),
-        chain_lattice(6),
-        from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], name="square"),
+        *map(chain_lattice, (2, 3, 4, 6)),
+        square,
         diamond_lattice(3),
         diamond_lattice(4),
         pentagon_lattice(),
         product_lattice(chain_lattice(2), chain_lattice(3), name="chain2xchain3"),
         materialize(boolean_lattice(3)),
-        product_lattice(
-            chain_lattice(3),
-            from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)], name="square"),
-            name="chain3xsquare",
-        ),
+        product_lattice(chain_lattice(3), square, name="chain3xsquare"),
         materialize(boolean_lattice(4)),
     ]
     if max_size is not None:

@@ -21,7 +21,7 @@ from cmlat.approx import (
     upper_bound_witness,
 )
 from cmlat.cm import LatticeFunction, is_cm, poisson_accompany, power
-from cmlat.errors import BudgetExceeded, ChainLattice, DomainViolation
+from cmlat.errors import BudgetExceeded, ChainLattice, DomainViolation, SizeLimitExceeded
 from cmlat.lattice import boolean_lattice, chain_lattice, diamond_lattice, materialize
 from cmlat.randset import RandomSubset, is_m_divisible, union_iid, uniform_singleton, void_functional
 
@@ -82,6 +82,46 @@ def test_m_times_gap_limit():
     # decreasing toward 2/e^2 in the scanned range (reported, asserted here)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] >= LIMIT_M_TIMES_GAP
+
+
+def reference_sup_gap(m):
+    """u (1-u)^(m-1) at the root u of -log(1-u)/u = m/(m-1), bisected in
+    `Decimal` with enough digits to hold 1 - u."""
+    with localcontext() as ctx:
+        ctx.prec = len(str(m)) + 40
+        target = Decimal(m) / (m - 1)
+        lo, hi = Decimal(2) / (m + 1), min(Decimal(2) / (m - 1), Decimal("0.999"))
+        for _ in range(90):
+            mid = (lo + hi) / 2
+            if -(1 - mid).ln() / mid < target:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo * ((m - 1) * (1 - lo).ln()).exp())
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 10**4, 10**7, 10**13, 10**16, 10**100, 10**300])
+def test_sup_gap_is_the_decimal_reference(m):
+    # t^(m-1) - t^m cancelled from m ~ 10^13 and read 0.0 from 10^16
+    assert sup_gap(m) == pytest.approx(reference_sup_gap(m), rel=1e-15, abs=0)
+
+
+def test_m_times_gap_approaches_the_limit_for_every_power_of_ten():
+    for k in range(301):
+        m_gap = 10**k * sup_gap(10**k)
+        assert 0 < m_gap < 1, k
+        if k >= 13:
+            assert abs(m_gap - LIMIT_M_TIMES_GAP) <= 1e-12, k
+    # a grid over t missed the peak of width 1/m and refused 10^7 and 10^8
+    for k in (7, 8, 16, 300):
+        report = lower_bound_witness(10**k)
+        assert report.m_times_gap == 10**k * report.sup_gap
+
+
+@pytest.mark.parametrize("fn", [sup_gap, sup_gap_argmax, lower_bound_witness])
+def test_m_past_the_float_range_is_refused(fn):
+    with pytest.raises(SizeLimitExceeded, match="exceeds the float range"):
+        fn(10**400)
 
 
 # --- accompaniment upper bound -----------------------------------------------------

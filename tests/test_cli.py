@@ -263,6 +263,15 @@ def test_approx_psi(tmp_path, capsys):
     assert len(csv_path.read_text().strip().splitlines()) == 4
 
 
+def test_approx_psi_at_large_m(capsys):
+    code, doc, _ = run(capsys, "approx", "psi", "--m", str(10**16))
+    assert code == 0
+    assert doc["result"]["reports"][0]["m_times_gap"] == pytest.approx(2 / math.e**2, abs=1e-12)
+    code, doc, err = run(capsys, "approx", "psi", "--m", str(10**400))
+    assert code == 2 and doc is None
+    assert err.startswith("cmlat: SizeLimitExceeded: m = 1.00e+400 exceeds the float range")
+
+
 def test_approx_psi_scans_the_threshold_once(capsys):
     from cmlat import approx
 

@@ -1,22 +1,30 @@
 import functools
 import itertools
+import pathlib
 import random
 import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmlat import lattice as lattice_module
 from cmlat.errors import (
     CyclicCovers,
     ElementOutOfRange,
     FormatError,
+    InvariantViolation,
     NonCoverEdge,
     NotALattice,
     SizeLimitExceeded,
 )
 from cmlat.lattice import (
+    DISTRIBUTIVE_BLOCK_BYTES,
+    GENERAL_SIZE_CAP,
+    INDEX_DTYPE,
     BooleanLattice,
     boolean_lattice,
     catalog,
@@ -504,3 +512,103 @@ def test_boolean12_cover_document_build_peak():
         tracemalloc.stop()
     assert "_meet" not in vars(lat) and lat.bottom == 0 and lat.top == 4095
     assert peak <= 120 * 2**20, peak / 2**20
+
+
+# --- int16 tables and blocked distributivity ---------------------------------
+
+def least_bounds(leq):
+    """least[x, y]: the upper bound of x and y (under ``leq``) that lies below
+    every other upper bound; pass the transposed order for greatest lower
+    bounds."""
+    n = len(leq)
+    least = np.full((n, n), -1)
+    for x in range(n):
+        ub = leq[x] & leq  # ub[y, z]: z lies above x and y
+        # z is least when no upper bound w of x and y fails to lie above it
+        is_least = ub & ~(ub[:, None, :] & ~leq[None, :, :]).any(axis=2)
+        assert (is_least.sum(axis=1) == 1).all()
+        least[x] = is_least.argmax(axis=1)
+    return least
+
+
+@st.composite
+def closure_lattices(draw):
+    """The closed sets of a random closure system on up to 6 points (a family
+    of subsets closed under intersection, the full set included) ordered by
+    inclusion, in random labels: lattices of up to 64 elements."""
+    full = (1 << draw(st.integers(1, 6))) - 1
+    rng = draw(st.randoms(use_true_random=False))
+    closed = {full}
+    for _ in range(rng.randint(0, 24)):
+        generator = rng.randint(0, full)
+        closed |= {generator & c for c in closed}
+    sets = np.array(draw(st.permutations(sorted(closed))))
+    strict = (sets[:, None] & sets[None, :] == sets[:, None]) & (sets[:, None] != sets[None, :])
+    below = strict.astype(np.int64)
+    covers = strict & (below @ below == 0)
+    return from_covers(len(sets), [tuple(pair) for pair in np.argwhere(covers).tolist()])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(catalog()), closure_lattices()), st.integers(1, 1 << 10))
+def test_tables_are_least_bounds_and_distributivity_is_the_triple_identity(lat, block_bytes):
+    join, meet = least_bounds(lat._leq), least_bounds(lat._leq.T)
+    assert np.array_equal(lat._join, join) and np.array_equal(lat._meet, meet)
+    assert lat._join.dtype == lat._meet.dtype == INDEX_DTYPE
+    # x ^ (y v z) = (x ^ y) v (x ^ z) for all x, y, z
+    identity = np.array_equal(meet[:, join], join[meet[:, :, None], meet[:, None, :]])
+    # blocks down to one row, so repeats fall in every block position
+    with mock.patch.object(lattice_module, "DISTRIBUTIVE_BLOCK_BYTES", block_bytes):
+        assert is_distributive(lat) == identity
+
+
+def test_a_repeat_past_the_first_row_block_is_found():
+    # M3 above a chain, top labelled 0 and the chain 1..k, its atoms labelled
+    # last: only the atoms' rows repeat a key, and they lie in the last block
+    n = 300
+    k = n - 4
+    atoms = range(k + 1, n)
+    pairs = [(i, i + 1) for i in range(1, k)] + [p for a in atoms for p in ((k, a), (a, 0))]
+    lat = from_covers(n, pairs)
+    rows = DISTRIBUTIVE_BLOCK_BYTES // (4 * n)
+    assert min(atoms) // rows == (n - 1) // rows > 0
+    keys = lat._join.astype(np.int64) * n + lat._meet
+    repeats = [x for x in lat.elements if len(set(keys[x].tolist())) < n]
+    assert repeats == list(atoms)
+    assert not is_distributive(lat)
+
+
+def test_table_dtype_is_derived_from_the_cap():
+    assert INDEX_DTYPE == np.min_scalar_type(-GENERAL_SIZE_CAP) == np.int16
+    lat = pentagon_lattice()
+    assert lat._join.dtype == lat._meet.dtype == np.int16
+
+
+@pytest.mark.parametrize("cap", [4096, 32767, 32768, 10**5])
+def test_a_cap_past_the_table_keys_fails_at_import(cap):
+    # int16 indices and int32 keys hold caps up to 32767
+    source = pathlib.Path(lattice_module.__file__).read_text(encoding="utf-8")
+    assert source.count("GENERAL_SIZE_CAP = 4096\n") == 1
+    module = types.ModuleType("cmlat._lattice_with_cap")
+    module.__package__ = "cmlat"
+    code = compile(source.replace("GENERAL_SIZE_CAP = 4096\n", f"GENERAL_SIZE_CAP = {cap}\n"),
+                   lattice_module.__file__, "exec")
+    if cap <= 32767:
+        exec(code, module.__dict__)
+        assert module.INDEX_DTYPE == np.int16
+    else:
+        with pytest.raises(InvariantViolation, match=f"cap {cap} overflows"):
+            exec(code, module.__dict__)
+
+
+def test_tables_at_the_cap_stay_within_90_mib():
+    # v^2 bytes of order, 2 v^2 of join and 2 v^2 of meet: 80 MiB at 4096
+    tracemalloc.start()
+    try:
+        lat = chain_lattice(GENERAL_SIZE_CAP)
+        assert is_distributive(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90 * 2**20, peak / 2**20
+    assert lat._join.dtype == INDEX_DTYPE and lat._join[0, -1] == GENERAL_SIZE_CAP - 1

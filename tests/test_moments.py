@@ -323,12 +323,19 @@ def test_differences_and_powers_are_the_per_entry_loops(values, max_order, alpha
     assert _outcome(finite_diff_cm_check, seq, max_order) == _outcome(_reference_diff, values, max_order)
     powered = seq.power(alpha)
     want = _reference_power(values, alpha)
-    if any(want):
-        assert _bits(powered.values) == _bits(want)
-        assert powered.kind == coerce_values(want)[1]
-    else:  # pow_scalar keeps exact zeros exact at a fractional alpha; the table power gives 0.0
-        assert powered.values == want
+    assert _bits(powered.values) == _bits(want)
+    # an empty list has no entry to carry the kind: it has the kind of a zero's power
+    assert powered.kind == coerce_values(want or [pow_scalar(Fraction(0), alpha)])[1]
     assert _outcome(finite_diff_cm_check, powered, max_order) == _outcome(_reference_diff, want, max_order)
+
+
+@pytest.mark.parametrize("zero, alpha, want", [
+    (Fraction(0), 0, Fraction(1)), (Fraction(0), 2.0, Fraction(0)), (Fraction(0), 0.5, 0.0),
+    (Fraction(0), Fraction(1, 2), 0.0), (0.0, 0, 1.0), (0.0, 2, 0.0), (0.0, 0.5, 0.0),
+])
+def test_pow_scalar_of_zero_is_exact_only_at_integral_exponents(zero, alpha, want):
+    got = pow_scalar(zero, alpha)
+    assert type(got) is type(want) and got == want
 
 
 @settings(max_examples=150, deadline=None)
