@@ -36,6 +36,7 @@ from ._scalars import FLOAT, RATIONAL, check_power_size, coerce_values, is_integ
 from .errors import DomainViolation
 
 _INT64_LIMIT = 1 << 63
+CHUNK_ROWS = 1024  # rows per chunk of a written table
 
 
 def _per_bit(a, ground_n, op):

@@ -21,7 +21,6 @@ from ._scalars import check_m
 from .cm import LatticeFunction, extend_cm, poisson_accompany, power
 from .errors import ChainLattice, DomainViolation, SizeLimitExceeded, _ensure
 from .lattice import FiniteLattice
-from .randset import RandomSubset, poisson_union, union_iid, void_distance
 
 LOWER_BOUND_CONSTANT = 1.0 / (4.0 * math.sqrt(math.e) * (2.0 + math.sqrt(math.e)))
 LIMIT_M_TIMES_GAP = 2.0 / math.e**2
@@ -154,6 +153,8 @@ def upper_bound_witness(x: RandomSubset, m: int) -> WitnessReport:
     d(X_m, Y) <= sup_gap(m) holds pointwise through t = V_X(K); this is the
     whole upper-bound mechanism and the inequality must never fail.
     """
+    from .randset import poisson_union, union_iid, void_distance
+
     xm = union_iid(x, m)
     y = poisson_union(x, m)
     distance = void_distance(xm, y)
@@ -186,6 +187,8 @@ class ApproxReport:
 
 def two_point_set(m: int) -> RandomSubset:
     """P{empty} = 1 - 1/m, mass 1/(2m) on each of two singletons."""
+    from .randset import RandomSubset
+
     m = check_m(m)
     return RandomSubset(
         2, [1 - Fraction(1, m), Fraction(1, 2 * m), Fraction(1, 2 * m), Fraction(0)]

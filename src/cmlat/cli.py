@@ -103,10 +103,9 @@ def load_distribution(spec: str, option: str):
 
 
 def _function_doc(fn):
-    return {
-        "values": [fn.values[x] for x in fn.lattice.elements],
-        "kind": fn.kind,
-    }
+    from ._output import ValueList
+
+    return {"values": ValueList(*fn._dense), "kind": fn.kind}
 
 
 def _mask_doc(mask, n):
@@ -164,12 +163,6 @@ def cmd_lattice_make(args):
     return {"written": args.out_lattice, "n": lat.n, "d_max": lattice_mod.d_max(lat)}, EXIT_OK
 
 
-def _load_fn(args, lat):
-    from . import cm as cm_mod
-
-    return cm_mod.read_function_file(args.fn, lat)
-
-
 def _cm_verdict_doc(verdict):
     doc = {
         "is_cm": verdict.is_cm,
@@ -192,7 +185,7 @@ def cmd_cm_check(args):
     from . import cm as cm_mod
 
     lat = load_lattice(args.lattice, "--lattice")
-    fn = _load_fn(args, lat)
+    fn = cm_mod.read_function_file(args.fn, lat)
     verdict = cm_mod.is_cm(fn, tol=args.tol)
     return _cm_verdict_doc(verdict), EXIT_OK if verdict.is_cm else EXIT_NEGATIVE
 
@@ -201,7 +194,7 @@ def cmd_cm_power(args):
     from . import cm as cm_mod
 
     lat = load_lattice(args.lattice, "--lattice")
-    fn = _load_fn(args, lat)
+    fn = cm_mod.read_function_file(args.fn, lat)
     try:
         alpha = int(args.alpha)
     except ValueError:
@@ -219,7 +212,7 @@ def cmd_cm_extend(args):
 
     lat = load_lattice(args.lattice, "--lattice")
     with open(args.fn, "r", encoding="utf-8") as fh:
-        sub_values = cm_mod.parse_partial_function_text(fh.read(), lat)
+        sub_values = cm_mod.parse_partial_function_text(fh, lat)
     extended = cm_mod.extend_cm(lat, sub_values)
     if args.out_fn:
         cm_mod.write_function_file(extended, args.out_fn, args.lattice)
@@ -229,14 +222,15 @@ def cmd_cm_extend(args):
 def cmd_cm_accompany(args):
     from . import approx as approx_mod
     from . import cm as cm_mod
+    from ._kernel import _floats
 
     lat = load_lattice(args.lattice, "--lattice")
-    fn = _load_fn(args, lat)
+    fn = cm_mod.read_function_file(args.fn, lat)
     acc = cm_mod.poisson_accompany(fn, args.m)
     if args.out_fn:
         cm_mod.write_function_file(acc, args.out_fn, args.lattice)
     # |f - acc| = |u^m - e^{m(u-1)}| at u = f^{1/m}, so the scalar bound applies
-    distance = max(abs(float(a) - float(b)) for a, b in zip(fn.values, acc.values))
+    distance = float(abs(_floats(fn._dense) - _floats(acc._dense)).max())
     result = {
         "accompaniment": _function_doc(acc),
         "distance_from_input": distance,
@@ -261,7 +255,7 @@ def cmd_randset_invert(args):
     from . import randset as randset_mod
 
     with open(args.void, "r", encoding="utf-8") as fh:
-        v = randset_mod.parse_void_text(fh.read())
+        v = randset_mod.parse_void_text(fh)
     try:
         x = randset_mod.from_void(v)
     except NotAVoidFunctional as exc:

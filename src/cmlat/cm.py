@@ -383,15 +383,16 @@ def format_function_text(f: LatticeFunction, lattice_name="") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_function_text(text: str, lattice: FiniteLattice) -> LatticeFunction:
-    """Parse the function exchange format against a known lattice."""
+def parse_function_text(text, lattice: FiniteLattice) -> LatticeFunction:
+    """Parse the function exchange format, a text or an open text file,
+    against a known lattice; the table is held dense."""
     values = parse_partial_function_text(text, lattice)
     if len(values) != lattice.n:
         raise FormatError(f"expected values for all {lattice.n} elements")
-    return LatticeFunction(lattice, [values[x] for x in lattice.elements])
+    return LatticeFunction._from_dense(lattice, _coerce([values[x] for x in lattice.elements])[1])
 
 
-def parse_partial_function_text(text: str, lattice: FiniteLattice) -> dict:
+def parse_partial_function_text(text, lattice: FiniteLattice) -> dict:
     """Like :func:`parse_function_text` but values may cover only a subset of
     the elements (the sublattice-extension input)."""
     records = _read_document(text, "function", "'index value'", (int, Fraction))
@@ -417,4 +418,4 @@ def write_function_file(f: LatticeFunction, path, lattice_name=""):
 
 def read_function_file(path, lattice: FiniteLattice) -> LatticeFunction:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_function_text(fh.read(), lattice)
+        return parse_function_text(fh, lattice)

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by all cmlat modules, and the one line reader of
 the text documents whose errors it reports."""
 
+import itertools
+
 
 class CmlatError(Exception):
     """Base class for every error raised by this library."""
@@ -132,7 +134,24 @@ class FormatError(CmlatError):
         self.line = line
 
 
-def _read_document(text, document, record, types, count=None):
+READ_BLOCK = 1 << 16  # characters per read of a document file
+
+
+def _blocks(fh):
+    """The lines ``str.splitlines`` gives of the whole text of ``fh``, an
+    open text file, with their ends: a list per block read."""
+    tail = []  # a block's last line may go on in the next block
+    for block in iter(lambda: fh.read(READ_BLOCK), ""):
+        first, *lines = block.splitlines(True)
+        tail.append(first)
+        if lines:
+            yield "".join(tail).splitlines(True)  # "\r" then "\n" is one break
+            tail = [lines.pop()]
+            yield lines
+    yield "".join(tail).splitlines(True)
+
+
+def _read_document(source, document, record, types, count=None):
     """Yield a text document's header, then its parsed two-field records.
 
     A '#' starts a comment and blank lines are skipped.  The first item is
@@ -142,11 +161,13 @@ def _read_document(text, document, record, types, count=None):
     (first, second))`` converted by the pair of callables ``types``; a
     conversion's ValueError or ZeroDivisionError is a FormatError at that
     line.  A document without a header is "empty", at line 1.
-    Records are parsed as they are consumed, so the caller's own checks
-    report the first bad line.
+    ``source`` is the text or an open text file, whose lines are read and
+    parsed as they are consumed, so the caller's own checks report the first
+    bad line.
     """
     header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = source.splitlines() if isinstance(source, str) else itertools.chain.from_iterable(_blocks(source))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

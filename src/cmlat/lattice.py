@@ -423,8 +423,9 @@ def format_lattice_text(lat: FiniteLattice) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_lattice_text(text: str, name="") -> FiniteLattice:
-    """Parse the cover-pair exchange format; reports 1-based line numbers."""
+def parse_lattice_text(text, name="") -> FiniteLattice:
+    """Parse the cover-pair exchange format, a text or an open text file;
+    reports 1-based line numbers."""
     records = _read_document(text, "lattice", "'lower upper'", (int, int), "element count")
     _, n = next(records)
     return from_covers(n, [pair for _, pair in records], name=name)
@@ -437,4 +438,4 @@ def write_lattice_file(lat: FiniteLattice, path):
 
 def read_lattice_file(path) -> FiniteLattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice_text(fh.read(), name=str(path))
+        return parse_lattice_text(fh, name=str(path))

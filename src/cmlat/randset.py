@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._kernel import (
+    CHUNK_ROWS,
     _coerce,
     _Dense,
     _exp,
@@ -57,7 +58,6 @@ from .errors import (
 GROUND_CAP = 20
 MASS_TOL = 1e-9
 SUM_TOL = 1e-12
-CHUNK_ROWS = 1024  # rows per chunk of a written table
 
 
 def mask_set_texts(n):
@@ -407,7 +407,7 @@ def format_distribution_text(x: RandomSubset) -> str:
     return "".join(_distribution_chunks(x))
 
 
-def _read_mask_lines(text: str, document: str, value_name: str, number):
+def _read_mask_lines(text, document: str, value_name: str, number):
     """Read an 'n' then 'mask value' document.
 
     Returns n and an iterator of (line number, mask, value); the header and
@@ -429,8 +429,9 @@ def _read_mask_lines(text: str, document: str, value_name: str, number):
     return n, entries()
 
 
-def parse_distribution_text(text: str) -> RandomSubset:
-    """Distribution document: 'n' then 'mask probability' lines.
+def parse_distribution_text(text) -> RandomSubset:
+    """Distribution document, a text or an open text file: 'n' then 'mask
+    probability' lines.
 
     Only the listed masks are summed (a mask listed twice gets both masses);
     the dense table is filled once, from the exact total's verdict: masses
@@ -462,11 +463,12 @@ def _void_value(text: str):
     return value
 
 
-def parse_void_text(text: str) -> VoidFunctional:
-    """Void-functional document: 'n' then one 'mask value' line per mask.
+def parse_void_text(text) -> VoidFunctional:
+    """Void-functional document, a text or an open text file: 'n' then one
+    'mask value' line per mask.
 
     Values written with '.', 'e' or 'E' are binary64 floats; integers and
-    'p/q' values stay exact.
+    'p/q' values stay exact.  The table is held dense.
     """
     n, entries = _read_mask_lines(text, "void-functional", "value", _void_value)
     table = [None] * (1 << n)
@@ -477,7 +479,7 @@ def parse_void_text(text: str) -> VoidFunctional:
     missing = [i for i, v in enumerate(table) if v is None]
     if missing:
         raise FormatError(f"missing entries for masks {missing[:4]}...")
-    return VoidFunctional(n, table)
+    return VoidFunctional._from_dense(n, _coerce(table)[1])
 
 
 def write_distribution_file(x: RandomSubset, path):
@@ -488,4 +490,4 @@ def write_distribution_file(x: RandomSubset, path):
 
 def read_distribution_file(path) -> RandomSubset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_distribution_text(fh.read())
+        return parse_distribution_text(fh)

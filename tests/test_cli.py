@@ -1008,3 +1008,13 @@ def test_string_order_is_the_order_of_the_decimal_strings(masks):
     masks = [*masks, 0, 1, 10, 100, (1 << 20) - 1]
     assert [masks[i] for i in string_order(masks)] == sorted(masks, key=str)
     assert string_order([]).size == 0
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 10, 14, 17, 20])
+def test_string_order_of_full_tables_and_their_subsets(n):
+    masks = np.arange(1 << n)
+    assert string_order(masks).tolist() == sorted(range(1 << n), key=str)
+    rng = np.random.default_rng(n)
+    for size in (1, 2, 9, 1 << (n - 1)):
+        subset = np.sort(rng.choice(1 << n, min(size, 1 << n), replace=False))  # rows in mask order, as a table has them
+        assert subset[string_order(subset)].tolist() == sorted(subset.tolist(), key=str)

@@ -84,7 +84,7 @@ COMMANDS = {
     "lattice": (["lattice", "check", "--lattice", "diamond:3"], {"cmlat.lattice"}),
     "cm": (["cm", "check", "--lattice", "diamond:3", "--fn", "{fn}"], CM),
     "cm accompany": (["cm", "accompany", "--lattice", "diamond:3", "--fn", "{fn}", "--m", "3"],
-                     CM | RANDSET | {"cmlat.approx"}),
+                     CM | {"cmlat.approx"}),
     "randset": (["randset", "power-exists", "--dist", "uniform-singleton:3", "--alpha", "1.5"], RANDSET),
     "scan": (["scan", "s-set", "--dist", "uniform-singleton:3", "--T", "3"], RANDSET | {"cmlat.scan"}),
     "approx": (["approx", "psi", "--m", "3"], CM | RANDSET | {"cmlat.approx"}),
@@ -92,17 +92,38 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("group", COMMANDS)
-def test_cli_group_loads_only_its_modules(group, tmp_path):
+def loaded_by_command(argv, tmp_path):
+    """The modules loaded after ``cmlat`` runs ``argv``, where "{fn}" names a
+    function document on the diamond M3 and "{out}" a file to write."""
     fn = tmp_path / "f.txt"
     fn.write_text("lattice diamond3\n0 1\n1 1/2\n2 1/2\n3 1/2\n4 1/4\n")
-    argv, modules = COMMANDS[group]
-    argv = [a.format(fn=fn) for a in argv]
+    argv = [a.format(fn=fn, out=tmp_path / "out.txt") for a in argv]
     code = (
         "import contextlib, io\nfrom cmlat.cli import main\nwith contextlib.redirect_stdout(io.StringIO()):\n"
         f"    if main({argv!r}) not in (0, 1):\n        raise SystemExit('exit code 2')"
     )
-    assert loaded_after(code) == CORE | modules
+    return loaded_after(code)
+
+
+@pytest.mark.parametrize("group", COMMANDS)
+def test_cli_group_loads_only_its_modules(group, tmp_path):
+    argv, modules = COMMANDS[group]
+    assert loaded_by_command(argv, tmp_path) == CORE | modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "check", "--lattice", "{fn}.lat"],
+    ["lattice", "make", "--kind", "diamond:3", "--out-lattice", "{out}"],
+    ["cm", "check", "--lattice", "diamond:3", "--fn", "{fn}"],
+    ["cm", "power", "--lattice", "diamond:3", "--fn", "{fn}", "--alpha", "2.5", "--out-fn", "{out}"],
+    ["cm", "extend", "--lattice", "diamond:3", "--fn", "{fn}", "--out-fn", "{out}"],
+    ["cm", "accompany", "--lattice", "diamond:3", "--fn", "{fn}", "--m", "3", "--out-fn", "{out}"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_lattice_and_cm_commands_load_no_random_subset_code(argv, tmp_path):
+    # their tables are written in chunks too, but not with randset's helpers
+    (tmp_path / "f.txt.lat").write_text("3\n0 1\n1 2\n")
+    loaded = loaded_by_command(argv, tmp_path)
+    assert "cmlat.lattice" in loaded and "cmlat.randset" not in loaded
 
 
 def test_readme_library_tour_runs():

@@ -23,9 +23,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmlat import cli
 from cmlat._output import layout, write
 from cmlat.cli import main
-from cmlat.cm import LatticeFunction, WeightFunction, is_cm, mobius_weights, power, sharpness_witness
+from cmlat.cm import (
+    LatticeFunction,
+    WeightFunction,
+    is_cm,
+    mobius_weights,
+    power,
+    reconstruct,
+    sharpness_witness,
+)
 from cmlat.errors import FormatError, InvalidProbabilityVector
 from cmlat.lattice import boolean_lattice, materialize
 from cmlat.randset import (
@@ -237,6 +246,29 @@ def test_document_text_is_written_in_slices(tmp_path):
     want = {"values": [str(v) for v in doc["values"]]}
     assert path.read_text(encoding="utf-8") == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert peak < 1 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_function_values_are_written_in_chunks(tmp_path):
+    # `cm power` of an exact c.m. function on B12 at alpha = 11: about 330 KB
+    # of Fraction texts, which exist one chunk of values at a time
+    lattice = boolean_lattice(12)
+    rng = random.Random(12)
+    up = reconstruct(WeightFunction(lattice, [rng.randint(0, 9) for _ in range(lattice.n)]))
+    total = max(up.values)
+    powered = power(LatticeFunction(lattice, [v / total for v in up.values]), 11)
+    verdict = is_cm(powered)
+    doc = {"power": cli._function_doc(powered), "verdict": cli._cm_verdict_doc(verdict)}
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        cli._emit(doc, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    got = json.loads(path.read_text(encoding="utf-8"))
+    assert got["power"] == {"kind": "rational", "values": [str(v) for v in powered.values]}
+    assert verdict.is_cm and path.stat().st_size > 300_000
+    assert peak < 3 << 18, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def _old_distribution(verdict):
