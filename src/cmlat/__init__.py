@@ -55,7 +55,6 @@ _EXPORTS = {
         "materialize",
         "pentagon_lattice",
         "product_lattice",
-        "verify_distinct_joins",
     ),
     "moments": (
         "MomentSequence",

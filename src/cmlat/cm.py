@@ -6,7 +6,9 @@ is nonnegative.  On a finite lattice this is equivalent to nonnegativity of
 the weights p with f(x) = sum_{y >= x} p(y), which is what `is_cm` checks;
 `is_cm_bruteforce` sweeps the raw definition and serves as the independent
 oracle.  Functions and weights are tables of :mod:`cmlat._kernel`, whose
-powers, exponential and subset transform this module computes with.
+powers and exponential this module computes with; weights and their inverse
+come from the lattice's ``_up_transform``, which on an explicit lattice reads
+the order and join rows of its join-irreducibles only.
 """
 
 from __future__ import annotations
@@ -16,9 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+# imported before numpy, so that numpy's import reuses the memory of compiling lattice.py
+from .lattice import FiniteLattice, _subset_joins, d_max, from_covers, is_distributive
 import numpy as np
 
 from ._kernel import (
+    CHUNK_ROWS,
     _coerce,
     _Dense,
     _exp,
@@ -30,7 +35,6 @@ from ._kernel import (
     _Table,
     _to_scalar,
     _to_scalars,
-    _transform,
 )
 from ._scalars import RATIONAL, check_m, check_tolerance, is_integral
 from .errors import (
@@ -47,7 +51,6 @@ from .errors import (
     _ensure,
     _read_document,
 )
-from .lattice import BooleanLattice, FiniteLattice, _subset_joins, d_max, is_distributive
 
 DEFAULT_REL_TOL = 1e-9
 RECONSTRUCT_CLAMP = 1e-12
@@ -72,7 +75,8 @@ class LatticeFunction(_Table):
             raise NegativeValue(f"function value {_to_scalar(d, low)} is negative")
 
     def max_value(self):
-        return self._scalar(np.argmax(self._dense.values))
+        d = self._dense
+        return _to_scalar(d, d.values.max())
 
     def __call__(self, x):
         return self._scalar(x)
@@ -141,70 +145,20 @@ def delta(f: LatticeFunction, args, base) -> object:
 
 
 def mobius_weights(f: LatticeFunction) -> WeightFunction:
-    """Weights from the top-down recursion p(x) = f(x) - sum_{y > x} p(y).
-
-    Exact in rational mode; Boolean lattices use the superset Mobius
-    transform, which computes the same weights in O(n 2^n).  Other lattices
-    solve the recursion over their order table (:func:`_solve_weights`).
-    """
+    """Weights from the top-down recursion p(x) = f(x) - sum_{y > x} p(y):
+    the inverse of the lattice's up-sum transform, exact in rational mode."""
     lat, d = f.lattice, f._dense
-    if isinstance(lat, BooleanLattice):
-        # top ^ mask reverses the index order, so a superset transform is the
-        # subset transform of the reversed values
-        p = _transform(d.values[::-1], lat.ground_n, np.subtract)[::-1]
-        return WeightFunction._from_dense(lat, d._replace(values=p))
-    return WeightFunction._from_dense(lat, _solve_weights(lat._leq, d))
-
-
-def _python_ints(d: _Dense) -> np.ndarray:
-    """Exact numerators as Python ints: sums over an order table are unbounded."""
-    return d.values if d.den is None else d.values.astype(object)
-
-
-def _solve_weights(leq, d: _Dense) -> _Dense:
-    """Weights p with d[x] = sum of p(y) over y >= x, for the boolean order
-    table ``leq`` (``leq[x, y]`` iff x <= y), in the form of ``d``.
-
-    Solved one up-set size at a time: elements of equal size are incomparable,
-    and every y > x has a smaller up-set, so a level needs only earlier ones.
-    """
-    values = _python_ints(d)
-    p = np.zeros_like(values)
-    size = leq.sum(axis=1)
-    order = np.argsort(size, kind="stable")
-    for level in np.split(order, np.flatnonzero(np.diff(size[order])) + 1):
-        strict = leq[level]
-        strict[np.arange(len(level)), level] = False
-        p[level] = values[level] - _up_sums(strict, p)
-    return d._replace(values=p)
+    return WeightFunction._from_dense(lat, d._replace(values=lat._up_transform(d.values, np.subtract)))
 
 
 def reconstruct(p: WeightFunction) -> LatticeFunction:
     """Function g(x) = sum_{y >= x} p(y); raises NegativeValue if any g < 0.
     Float values in [-RECONSTRUCT_CLAMP, 0) are rounding and become 0."""
     lat, d = p.lattice, p._dense
-    if isinstance(lat, BooleanLattice):
-        g = _transform(d.values[::-1], lat.ground_n, np.add)[::-1]
-    else:
-        g = _up_sums(lat._leq, _python_ints(d))
+    g = lat._up_transform(d.values, np.add)
     if d.den is None:
         g = np.where((-RECONSTRUCT_CLAMP <= g) & (g < 0), 0.0, g)
     return LatticeFunction._from_dense(lat, d._replace(values=g))
-
-
-def _up_sums(rows, values):
-    """For each boolean row, the sum of ``values`` over its True entries.
-
-    Floats are added left to right in ascending index, as a scalar loop
-    starting from 0 adds them, so every result is bitwise that loop's; rows go
-    64 at a time to bound the dense temporaries.
-    """
-    if values.dtype == object:
-        return np.array([sum(values[row]) for row in rows], dtype=object)
-    sums = [np.cumsum(np.where(rows[i:i + 64], values, 0.0), axis=1)[:, -1]
-            for i in range(0, len(rows), 64)]
-    # 0 + (-0.0) is 0.0 in the scalar loop; cumsum keeps a lone -0.0
-    return np.concatenate(sums) + 0.0
 
 
 def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
@@ -221,12 +175,13 @@ def is_cm(f: LatticeFunction, tol=None) -> CmVerdict:
     if tol is None:
         tol = 0 if rational else DEFAULT_REL_TOL * float(max(f.max_value(), 1e-300))
     weights = p._dense.values
-    worst = int(np.argmin(weights))
-    min_weight = p._scalar(worst)
+    min_weight = _to_scalar(p._dense, weights.min())
     bad = min_weight < (0 if rational else -tol)
-    indeterminate = not (rational or bad) and bool(np.any((-tol <= weights) & (weights <= tol)))
+    # every weight is at least -tol unless bad, so one is within tol iff the least is
+    indeterminate = not (rational or bad or min_weight > tol)
     witness = None
     if bad:
+        worst = int(np.argmin(weights))
         covering = f.lattice.covers(worst)
         witness = CmWitness(worst, min_weight, covering, delta(f, covering, worst))
         if rational:
@@ -305,7 +260,7 @@ def sharpness_witness(L: FiniteLattice) -> LatticeFunction:
     if d < 2:
         raise NoSharpnessNeeded("chain lattice: every power of a c.m. function is c.m.")
     x = next(x for x in L.elements if len(L.covers(x)) == d)
-    # distributive: the 2^d joins are distinct, so 2^d <= n <= 2^20 = SUBSET_JOIN_BUDGET
+    # distributive: the 2^d joins are distinct, so 2^d <= n <= 2^20
     joins = _subset_joins(L, x, L.covers(x))
     _ensure(len(set(joins)) == len(joins), "subset joins must be distinct on a distributive lattice")
     # the join of all covers except the j-th carries mass 1/d
@@ -317,25 +272,36 @@ def extend_cm(L: FiniteLattice, sub_values) -> LatticeFunction:
     """Extend a c.m. function from a sublattice to all of L.
 
     ``sub_values`` maps element indices of L (a join/meet closed subset) to
-    the function values.  The weights on the sublattice are zero-extended to
-    L and reconstructed; the result restricts back to the input exactly in
+    the function values.  The weights on the sublattice, built from its cover
+    pairs by ``from_covers`` (so of at most 4096 elements), are zero-extended
+    to L and reconstructed; the result restricts back to the input exactly in
     rational mode.
     """
     sub = sorted(sub_values)
     if not sub:
         raise NotASublattice("empty subset")
-    inset = set(sub)
     for a in sub:
         L.check_element(a)
-    for a, b in itertools.combinations(sub, 2):
-        if L.join(a, b) not in inset:
+    index = {a: i for i, a in enumerate(sub)}
+    # the strict up-sets and down-sets of the elements within sub, as bits
+    above, below = [0] * len(sub), [0] * len(sub)
+    for (i, a), (k, b) in itertools.combinations(enumerate(sub), 2):
+        join = L.join(a, b)
+        if join not in index:
             raise NotASublattice(f"join of {a} and {b} escapes the subset")
-        if L.meet(a, b) not in inset:
+        if L.meet(a, b) not in index:
             raise NotASublattice(f"meet of {a} and {b} escapes the subset")
+        if join in (a, b):
+            lo, hi = (i, k) if join == b else (k, i)
+            above[lo] |= 1 << hi
+            below[hi] |= 1 << lo
+    # hi covers lo when nothing in sub lies strictly between them
+    pairs = [(lo, hi) for lo, up in enumerate(above) for hi in range(len(sub))
+             if up >> hi & 1 and not up & below[hi]]
     vals, d = _coerce([sub_values[a] for a in sub])
     fvals = dict(zip(sub, vals))
     # the weights within the sublattice (it is itself a lattice)
-    p = _solve_weights(np.array([[L.leq(a, b) for b in sub] for a in sub], dtype=bool), d)
+    p = d._replace(values=from_covers(len(sub), pairs)._up_transform(d.values, np.subtract))
     exact = d.den is not None
     tol = 0 if exact else DEFAULT_REL_TOL * float(max(max(vals), 1e-300))
     worst = p.values.min()
@@ -375,12 +341,19 @@ def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction
 
 # --- text exchange format ---------------------------------------------------
 
+def _function_chunks(f: LatticeFunction, lattice_name=""):
+    """The document of :func:`format_function_text`, in chunks of at most
+    ``CHUNK_ROWS`` lines, converted from the dense table."""
+    d = f._dense
+    yield f"lattice {lattice_name or f.lattice.name or '-'}\n"
+    for start in range(0, f.lattice.n, CHUNK_ROWS):
+        values = _to_scalars(d._replace(values=d.values[start:start + CHUNK_ROWS]))
+        yield "".join([f"{x} {v}\n" for x, v in enumerate(values, start)])
+
+
 def format_function_text(f: LatticeFunction, lattice_name="") -> str:
     """Serialize as a 'lattice <name>' header plus 'index value' lines."""
-    lines = [f"lattice {lattice_name or f.lattice.name or '-'}"]
-    for x in f.lattice.elements:
-        lines.append(f"{x} {f.values[x]}")
-    return "\n".join(lines) + "\n"
+    return "".join(_function_chunks(f, lattice_name))
 
 
 def parse_function_text(text, lattice: FiniteLattice) -> LatticeFunction:
@@ -412,8 +385,9 @@ def parse_partial_function_text(text, lattice: FiniteLattice) -> dict:
 
 
 def write_function_file(f: LatticeFunction, path, lattice_name=""):
+    """Write :func:`format_function_text`, chunk by chunk."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_function_text(f, lattice_name))
+        fh.writelines(_function_chunks(f, lattice_name))
 
 
 def read_function_file(path, lattice: FiniteLattice) -> LatticeFunction:

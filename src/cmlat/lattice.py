@@ -9,9 +9,13 @@ v^2 bytes of order and 2 v^2 of join, plus 2 v^2 of meet once read: the
 tables index elements in int16, the narrowest type the cap allows.  Filling
 the join table checks every join, and a least element is then required,
 which proves the lattice axioms: a finite join-semilattice with a bottom is
-a lattice.  Boolean lattices are backed by bit operations (join = union,
-meet = intersection) so that ground sets up to 20 points stay usable
-without materializing 2^40-entry tables.
+a lattice.  Then the up-sum transform ``_up_transform`` (the Mobius weights
+of `cm` and their inverse) reads the order and join rows of the
+join-irreducibles only, ``is_distributive`` the whole join and meet tables,
+and ``leq``, ``join`` and ``meet`` one entry each.  Boolean lattices are
+backed by bit operations (join = union, meet = intersection) and transform
+by Yates' passes, so that ground sets up to 20 points stay usable without
+materializing 2^40-entry tables.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import functools
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     CyclicCovers,
     DomainViolation,
     ElementOutOfRange,
@@ -34,7 +37,6 @@ from .errors import (
 
 GENERAL_SIZE_CAP = 4096
 BOOLEAN_GROUND_CAP = 20
-SUBSET_JOIN_BUDGET = 1 << 20
 DISTRIBUTIVE_BLOCK_BYTES = 1 << 16  # bound on the int32 keys is_distributive sorts at once
 # int32 keys pack an element index with an up-set size or a second index: a
 # cap past 32767 would wrap them, so it fails here.  Below it, join and meet
@@ -110,6 +112,43 @@ class FiniteLattice:
     def cover_pairs(self):
         return [(x, y) for x in self.elements for y in self.covers(x)]
 
+    # -- the up-sum transform -------------------------------------------------
+
+    def _up_transform(self, values, op):
+        """The up-sums g(x) = sum of values[y] over y >= x (``op`` np.add) or
+        their inverse, the Mobius weights (np.subtract), in a new array; exact
+        numerators become Python ints, as partial Mobius sums are unbounded.
+
+        One pass per join-irreducible j (one lower cover), top first by up-set
+        size (Bjorklund et al., SODA 2012), adds to each x with j not below it
+        the entry of x v j, unless x v j is above a later irreducible that x
+        is not: ``later`` counts them below each element.  The inverse runs
+        the passes backwards.  A pass reads j's order and join rows only.
+        """
+        lower = [0] * self.n
+        for covs in self._covers:
+            for c in covs:
+                lower[c] += 1
+        leq, forward = self._leq, op is np.add
+        passes = sorted((j for j in self.elements if lower[j] == 1), key=lambda j: np.count_nonzero(leq[j]))
+        a = values.astype(float if values.dtype.kind == "f" else object)
+        later = np.zeros(self.n, dtype=np.int16)
+        if forward:
+            for j in passes:
+                later += leq[j]
+        for j in passes if forward else reversed(passes):
+            if forward:
+                later -= leq[j]
+            xs = np.flatnonzero(np.logical_not(leq[j]))
+            ys = self._join[j].take(xs)
+            # logical_not of a difference: an integer == maps more of numpy's code
+            keep = np.logical_not(later.take(ys) - later.take(xs))
+            xs, ys = xs[keep], ys[keep]
+            a[xs] = op(a[xs], a[ys])
+            if not forward:
+                later += leq[j]
+        return a
+
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"<FiniteLattice{label} n={self.n}>"
@@ -145,6 +184,13 @@ class BooleanLattice(FiniteLattice):
     def covers(self, x):
         return tuple(x | (1 << i) for i in range(self.ground_n) if not x & (1 << i))
 
+    def _up_transform(self, values, op):
+        """Yates' passes: top ^ mask reverses the index order, so up-sums are
+        the subset transform of the reversed table (int64 stays int64)."""
+        from ._kernel import _transform  # the lattice commands never transform
+
+        return _transform(values[::-1], self.ground_n, op)[::-1]
+
     def __repr__(self):
         return f"<BooleanLattice [{self.ground_n}] n={self.n}>"
 
@@ -163,8 +209,8 @@ def _join_table(leq, below_row, covers, up_size, word):
     """
     n = leq.shape[0]
     cols = np.arange(n, dtype=np.int32)
-    # leq[i, j] is flat[i * step_i + j * step_j]: one byte an entry, in memory order
-    flat, (step_i, step_j) = leq.ravel(order="K"), leq.strides
+    # leq[i, j] is flat[i * step_i + j * step_j] in int32, as n^2 < 2^31; 1-d steps stay int32 in numpy 1.x
+    flat, (step_i, step_j) = leq.ravel(order="K"), np.array(leq.strides, dtype=np.int32).reshape(2, 1)
     shift = n.bit_length()
     keys = (up_size << shift) | cols  # int32 keys order by up-set size first
     join = np.empty((n, n), dtype=INDEX_DTYPE)
@@ -176,7 +222,7 @@ def _join_table(leq, below_row, covers, up_size, word):
             join[x] = np.where(below, x, join[covs[0]])
             continue
         if covs:
-            cand = join.take(covs, axis=0).astype(np.intp)  # int16 * step would wrap
+            cand = join.take(covs, axis=0)
             best = keys.take(cand).max(axis=0) & ((1 << shift) - 1)
             # above x the least candidate is y itself, so only the elements
             # incomparable to x can miss
@@ -250,17 +296,19 @@ def from_covers(n, cover_pairs, name="") -> FiniteLattice:
             x = next(c for c in above[x] if pending[c])
         i, j = sorted(seen[seen.index(x):])[:2]
         raise CyclicCovers(f"cover relation is cyclic through {i} and {j}")
+    width = (n + 7) // 8
+    up_bits = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in up), np.uint8).reshape(n, width)
+    del up  # at 4096 elements a list of these bitsets holds 2 MiB: keep one at a time
     # every element below x comes after x in order
     down = [1 << x for x in range(n)]
     for x in reversed(order):
         for lower in below[x]:
             down[x] |= down[lower]
+    down_bits = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in down), np.uint8).reshape(n, width)
+    del down
     covers = tuple(
         tuple(sorted({c for c in above[x] if not implied[x] >> c & 1})) for x in range(n)
     )
-    width = (n + 7) // 8
-    up_bits, down_bits = (np.frombuffer(b"".join(s.to_bytes(width, "little") for s in sets), dtype=np.uint8)
-                          .reshape(n, width) for sets in (up, down))
     leq = np.unpackbits(up_bits, axis=1, count=n, bitorder="little").view(bool)
     lat = FiniteLattice(leq, down_bits, covers, name=name)
     for lower, upper in pairs:
@@ -355,28 +403,6 @@ def is_distributive(lat: FiniteLattice) -> bool:
         if (keys[:, 1:] == keys[:, :-1]).any():
             return False
     return True
-
-
-def verify_distinct_joins(lat: FiniteLattice, x):
-    """Check that joins of distinct nonempty cover subsets of x are distinct.
-
-    Returns ``(True, None)`` or ``(False, (subset_a, subset_b))`` where the two
-    cover subsets have the same join.  Holds for every x when the lattice is
-    distributive.
-    """
-    lat.check_element(x)
-    covs = lat.covers(x)
-    d = len(covs)
-    if 1 << d > SUBSET_JOIN_BUDGET:
-        raise BudgetExceeded(f"2^{d} subset joins exceed budget")
-    seen = {}
-    for mask, j in enumerate(_subset_joins(lat, x, covs)):
-        if j in seen:
-            a = tuple(covs[i] for i in range(d) if seen[j] >> i & 1)
-            b = tuple(covs[i] for i in range(d) if mask >> i & 1)
-            return False, (a, b)
-        seen[j] = mask
-    return True, None
 
 
 def _subset_joins(lat: FiniteLattice, base, xs):

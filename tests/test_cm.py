@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmlat import cm as cm_module
-from cmlat._kernel import _coerce, _to_scalars, subset_mobius, subset_sums
+from cmlat._kernel import subset_mobius, subset_sums
 from cmlat._scalars import POWER_BIT_BUDGET, is_integral, pow_scalar
 from cmlat.cm import (
     CmVerdict,
@@ -57,6 +57,7 @@ from cmlat.lattice import (
     materialize,
 )
 from cmlat.moments import MomentSequence
+from test_lattice import closure_lattices
 
 B2 = boolean_lattice(2)
 DIAMOND = diamond_lattice(3)
@@ -191,6 +192,18 @@ def reference_reconstruct(p):
     return [sum(p.weights[y] for y in up_set(lat, x)) for x in lat.elements]
 
 
+def exactly(table):
+    """The table of the same values as Fractions: a float table's exact twin."""
+    return type(table)(table.lattice, [Fraction(v) for v in getattr(table, table._FIELD)])
+
+
+def assert_near_exact(got, want, scale):
+    """Floats of an explicit lattice's passes against the exact results of the
+    same floats: within 1e-13 * scale, the largest value of the input."""
+    assert all(isinstance(v, float) for v in got)
+    assert max(abs(Fraction(a) - b) for a, b in zip(got, want)) <= Fraction(1e-13) * Fraction(scale)
+
+
 def explicit_lattices():
     return catalog() + [
         product_lattice(diamond_lattice(3), pentagon_lattice()),
@@ -208,14 +221,11 @@ def test_generic_mobius_matches_reference_loop():
             )
             assert list(mobius_weights(exact).weights) == reference_mobius_weights(exact)
             floats = LatticeFunction(lat, [rng.uniform(0.0, 9.0) for _ in lat.elements])
-            got, want = mobius_weights(floats).weights, reference_mobius_weights(floats)
-            # the level-wise solve adds in the loop's order, so the floats are
-            # the loop's bit for bit, well inside 1e-12 * max f
-            assert list(got) == want, lat.name
-            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * floats.max_value()
+            got = mobius_weights(floats).weights
+            assert_near_exact(got, reference_mobius_weights(exactly(floats)), floats.max_value())
             verdict = is_cm(floats)
-            assert verdict.min_weight == min(want)
-            assert verdict.is_cm == (min(want) >= -verdict.tol)
+            assert verdict.min_weight == min(got)
+            assert verdict.is_cm == (min(got) >= -verdict.tol)
 
 
 def test_generic_reconstruct_matches_reference_loop():
@@ -224,7 +234,22 @@ def test_generic_reconstruct_matches_reference_loop():
         exact = random_weights(lat, rng)
         assert list(reconstruct(exact).values) == reference_reconstruct(exact)
         floats = WeightFunction(lat, [rng.uniform(0.0, 3.0) for _ in lat.elements])
-        assert list(reconstruct(floats).values) == reference_reconstruct(floats), lat.name
+        want = reference_reconstruct(exactly(floats))
+        assert_near_exact(reconstruct(floats).values, want, max(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(catalog()), closure_lattices()), st.randoms(use_true_random=False))
+def test_up_transform_matches_the_reference_loops(lat, rng):
+    exact = LatticeFunction(lat, [Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in lat.elements])
+    assert list(mobius_weights(exact).weights) == reference_mobius_weights(exact)
+    weights = random_weights(lat, rng)
+    assert list(reconstruct(weights).values) == reference_reconstruct(weights)
+    # forward then inverse gives back the input, signed numerators included
+    values = np.array([rng.randint(-50, 50) for _ in lat.elements])
+    assert lat._up_transform(lat._up_transform(values, np.add), np.subtract).tolist() == values.tolist()
+    floats = LatticeFunction(lat, [rng.uniform(0.0, 9.0) for _ in lat.elements])
+    assert_near_exact(mobius_weights(floats).weights, reference_mobius_weights(exactly(floats)), floats.max_value())
 
 
 # --- is_cm and the brute-force oracle ----------------------------------------
@@ -556,17 +581,13 @@ def test_extend_weights_match_reference_recursion():
                 {a: rng.uniform(0.0, 2.0) for a in sub},  # mostly not c.m.
             ]
             for values in cases:
-                want = reference_sublattice_weights(lat, values)
-                got = _to_scalars(cm_module._solve_weights(
-                    np.array([[lat.leq(a, b) for b in sub] for a in sub]), _coerce([values[a] for a in sub])[1]
-                ))
-                assert got == [want[a] for a in sub], (lat.name, sub)
-                if isinstance(got[0], float):
-                    assert [v.hex() for v in got] == [want[a].hex() for a in sub], (lat.name, sub)
+                # the exact weights of the same values, floats included
+                want = reference_sublattice_weights(lat, {a: Fraction(v) for a, v in values.items()})
                 worst = min(want.values())
-                tol = 0 if isinstance(worst, Fraction) else 1e-9 * max(values.values())
-                if worst < -tol:
-                    with pytest.raises(NotCmInput, match=re.escape(f"(weight {worst})")):
+                floats = isinstance(values[sub[0]], float)
+                if worst < (-1e-9 * max(values.values()) if floats else 0):
+                    message = "not c.m. on the sublattice" if floats else re.escape(f"(weight {worst})")
+                    with pytest.raises(NotCmInput, match=message):
                         extend_cm(lat, values)
                     continue
                 weights = [0] * lat.n
@@ -574,9 +595,10 @@ def test_extend_weights_match_reference_recursion():
                     weights[a] = w
                 g = extend_cm(lat, values).values
                 h = reconstruct(WeightFunction(lat, weights)).values
-                assert g == h
-                if isinstance(g[0], float):
-                    assert [v.hex() for v in g] == [v.hex() for v in h]
+                if floats:
+                    assert_near_exact(g, h, max(values.values()))
+                else:
+                    assert g == h
 
 
 # --- accompaniment ---------------------------------------------------------------
@@ -622,6 +644,25 @@ def test_function_format_roundtrip():
     text = format_function_text(f, "b2")
     back = parse_function_text(text, B2)
     assert back.values == f.values
+
+
+def test_function_file_is_written_in_chunks(tmp_path):
+    # the exact B12 function to the power 11: a 300 KB document of Fractions,
+    # which took 1.6 MiB traced when the whole text was built first
+    lat = boolean_lattice(12)
+    rng = random.Random(3)
+    g = reconstruct(WeightFunction(lat, [rng.randint(1, 9) for _ in lat.elements]))
+    f = power(LatticeFunction(lat, [v / g.values[0] for v in g.values]), 11)
+    path = tmp_path / "f11.fn"
+    tracemalloc.start()
+    try:
+        cm_module.write_function_file(f, path, "boolean:12")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**18, peak
+    lines = [f"{x} {v}\n" for x, v in enumerate(f.values)]
+    assert path.read_text(encoding="utf-8") == "".join(["lattice boolean:12\n", *lines])
 
 
 def test_function_format_errors():
@@ -747,6 +788,21 @@ def oracle_reconstruct(p):
     return [0.0 if isinstance(v, float) and -cm_module.RECONSTRUCT_CLAMP <= v < 0 else v for v in g]
 
 
+def explicit_floats(table):
+    return table.kind == "float" and not isinstance(table.lattice, BooleanLattice)
+
+
+def assert_reconstruct_matches_oracle(p):
+    """Bit for bit, but for floats on an explicit lattice, which are held to
+    the exact sums of the same floats."""
+    got = reconstruct(p).values
+    if explicit_floats(p):
+        want = oracle_reconstruct(exactly(p))
+        assert_near_exact(got, want, max(want))
+    else:
+        assert scalar_keys(got) == scalar_keys(oracle_reconstruct(p))
+
+
 def oracle_accompany(f, m):
     return [math.exp(-m * (1.0 - math.pow(float(v), 1.0 / m))) for v in f.values]
 
@@ -774,12 +830,14 @@ def test_dense_route_matches_the_per_entry_route(lat, kind):
             assert scalar_keys(g.values) == scalar_keys(want), alpha
             assert g.kind == LatticeFunction(lat, want).kind
             p = mobius_weights(g)
-            assert scalar_keys(p.weights) == scalar_keys(oracle_weights(g)), alpha
+            if explicit_floats(g):
+                assert_near_exact(p.weights, oracle_weights(exactly(g)), g.max_value())
+            else:
+                assert scalar_keys(p.weights) == scalar_keys(oracle_weights(g)), alpha
             assert p.kind == g.kind
             if min(p.weights) >= 0:
-                assert scalar_keys(reconstruct(p).values) == scalar_keys(oracle_reconstruct(p)), alpha
-        w = WeightFunction(lat, [abs(VALUE_KINDS[kind](rng)) for _ in lat.elements])
-        assert scalar_keys(reconstruct(w).values) == scalar_keys(oracle_reconstruct(w))
+                assert_reconstruct_matches_oracle(p)
+        assert_reconstruct_matches_oracle(WeightFunction(lat, [abs(VALUE_KINDS[kind](rng)) for _ in lat.elements]))
         if kind.startswith("unit"):
             for m in range(1, 6):
                 acc = poisson_accompany(f, m)

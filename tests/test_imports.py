@@ -26,7 +26,7 @@ PUBLIC = {
     "scan", "scan_S", "schur_gradient_check", "sharpness_witness", "sign_change_bound", "simplex_form",
     "singleton_alternating_sum", "singleton_set", "sup_gap", "sup_gap_argmax",
     "two_atom_power_counterexample", "two_atom_sequence", "two_point_set", "uniform_singleton",
-    "union_iid", "upper_bound_witness", "verify_distinct_joins", "void_distance", "void_functional",
+    "union_iid", "upper_bound_witness", "void_distance", "void_functional",
 }
 SUBMODULES = {"approx", "cm", "errors", "lattice", "moments", "randset", "scan"}
 
