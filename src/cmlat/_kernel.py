@@ -214,8 +214,10 @@ def _float_power(values, alpha, out=None) -> np.ndarray:
 
 
 def _exp(values) -> np.ndarray:
-    """exp(values) entry by entry through libm."""
-    return np.fromiter(map(math.exp, values), float, len(values))
+    """exp(values) entry by entry through libm, in the float64 array ``values``."""
+    for chunk in np.split(values, range(CHUNK_ROWS, len(values), CHUNK_ROWS)):
+        chunk[:] = list(map(math.exp, chunk.tolist()))
+    return values
 
 
 def _power(d: _Dense, alpha, overwrite=False) -> _Dense:

@@ -102,6 +102,14 @@ def load_distribution(spec: str, option: str):
     return randset_mod.read_distribution_file(spec)
 
 
+def _spent(spec):
+    """n and the containment table of the law at ``spec``, made in the law's own array."""
+    from .randset import _containment
+
+    x = load_distribution(spec, "--dist")
+    return x.n, _containment(x, spend=True)
+
+
 def _function_doc(fn):
     from ._output import ValueList
 
@@ -120,7 +128,7 @@ def _mask_table(n, column, d, masks=None):
 
     from ._output import MaskTable
 
-    if masks is None:
+    if masks is None or len(masks) == len(d.values):  # every mask: no copy of the values
         return MaskTable(n, np.arange(len(d.values)), column, d.values, d.den)
     return MaskTable(n, masks, column, d.values[masks], d.den)
 
@@ -271,28 +279,22 @@ def cmd_randset_power_exists(args):
 
     if args.tol is None:
         args.tol = randset_mod.MASS_TOL
-    x = load_distribution(args.dist, "--dist")
+    n, w = _spent(args.dist)
     alpha = _parse("--alpha", args.alpha, float)
-    verdict = randset_mod.power_exists(x, alpha, tol=args.tol)
-    result = {
-        "exists": verdict.exists,
-        "alpha": alpha,
-        "min_q": verdict.min_q,
-        "boundary": verdict.boundary,
-    }
+    verdict = randset_mod._power_q(n, w, alpha, args.tol)
+    result = {"exists": verdict.exists, "alpha": alpha, "min_q": verdict.min_q, "boundary": verdict.boundary}
     if verdict.witness is not None:
         # the witness is the argmin of q: its entry is min_q, and q_values is never built
-        result["witness"] = {**_mask_doc(verdict.witness, x.n), "q": verdict.min_q}
-    if x.n <= 10:
-        result["q"] = _mask_table(x.n, "value", verdict._dense)
+        result["witness"] = {**_mask_doc(verdict.witness, n), "q": verdict.min_q}
+    if n <= 10:
+        result["q"] = _mask_table(n, "value", verdict._dense)
     return result, EXIT_OK if verdict.exists else EXIT_NEGATIVE
 
 
 def cmd_randset_union(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist, "--dist")
-    u = randset_mod.union_iid(x, args.m)
+    u = randset_mod._union(*_spent(args.dist), args.m)
     if args.out_dist:
         randset_mod.write_distribution_file(u, args.out_dist)
     return {"distribution": _distribution_doc(u)}, EXIT_OK
@@ -301,8 +303,7 @@ def cmd_randset_union(args):
 def cmd_randset_poisson(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist, "--dist")
-    y = randset_mod.poisson_union(x, args.lam)
+    y = randset_mod._poisson(*_spent(args.dist), args.lam)
     if args.out_dist:
         randset_mod.write_distribution_file(y, args.out_dist)
     return {"distribution": _distribution_doc(y)}, EXIT_OK
@@ -311,8 +312,7 @@ def cmd_randset_poisson(args):
 def cmd_randset_dist(args):
     from . import randset as randset_mod
 
-    x = load_distribution(args.dist, "--dist")
-    y = load_distribution(args.dist2, "--dist2")
+    x, y = load_distribution(args.dist, "--dist"), load_distribution(args.dist2, "--dist2")
     return {"void_distance": randset_mod.void_distance(x, y)}, EXIT_OK
 
 

@@ -327,7 +327,8 @@ def poisson_accompany(f: LatticeFunction, m: int) -> LatticeFunction:
     if f.max_value() > 1:
         raise ValueOutOfUnitInterval("accompaniment needs values in [0, 1]")
     root = _float_power(_floats(f._dense), 1.0 / m)
-    return LatticeFunction._from_dense(f.lattice, _Dense(_exp(-float(m) * (1.0 - root))))
+    np.multiply(-float(m), np.subtract(1.0, root, out=root), out=root)  # -m (1 - root), in root
+    return LatticeFunction._from_dense(f.lattice, _Dense(_exp(root)))
 
 
 def pointwise_product(f: LatticeFunction, g: LatticeFunction) -> LatticeFunction:

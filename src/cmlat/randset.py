@@ -26,34 +26,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernel import (
-    CHUNK_ROWS,
-    _coerce,
-    _Dense,
-    _exp,
-    _floats,
-    _Lazy,
-    _lowest_terms,
-    _per_bit,
-    _placed,
-    _power,
-    _Table,
-    _to_scalar,
-    _to_scalars,
-    _transform,
-    subset_mobius,
-    subset_sums,
-)
+from ._kernel import (CHUNK_ROWS, _coerce, _Dense, _exp, _floats, _Lazy, _lowest_terms, _per_bit, _placed,
+                      _power, _Table, _to_scalar, _to_scalars, _transform, subset_mobius, subset_sums)
 from ._scalars import check_m, check_tolerance
-from .errors import (
-    DomainViolation,
-    FormatError,
-    GroundSetMismatch,
-    InvalidProbabilityVector,
-    NotAVoidFunctional,
-    SizeLimitExceeded,
-    _read_document,
-)
+from .errors import (DomainViolation, FormatError, GroundSetMismatch, InvalidProbabilityVector,
+                     NotAVoidFunctional, SizeLimitExceeded, _read_document)
 
 GROUND_CAP = 20
 MASS_TOL = 1e-9
@@ -143,10 +120,10 @@ def _check_ground(n):
         raise SizeLimitExceeded(f"ground set must have 1..{GROUND_CAP} points, got {n}")
 
 
-def _containment(x: RandomSubset) -> _Dense:
-    """Dense P{X subset B} for every mask B."""
+def _containment(x: RandomSubset, spend=False) -> _Dense:
+    """Dense P{X subset B} for every mask B, in x's own table if ``spend``."""
     d = x._dense
-    return _Dense(_transform(d.values, x.n, np.add), d.den)
+    return _Dense((_per_bit if spend else _transform)(d.values, x.n, np.add), d.den)
 
 
 @dataclass(frozen=True)
@@ -219,6 +196,7 @@ class PowerVerdict(_Lazy):
 
 
 # --- core maps --------------------------------------------------------------
+# _invert, _power_q, _union and _poisson overwrite the containment table w.
 
 def void_functional(x: RandomSubset) -> VoidFunctional:
     """V(K) = P{X inside complement of K}, via one subset-sum transform."""
@@ -234,21 +212,21 @@ def from_void(v: VoidFunctional) -> RandomSubset:
     -MASS_TOL (exact negativity in rational mode); float masses in
     (-MASS_TOL, 0) are clamped to zero.
     """
-    return _invert(v.n, v._dense)
+    return _invert(v.n, v._dense._replace(values=v._dense.values[::-1].copy()))
 
 
-def _invert(n, v: _Dense) -> RandomSubset:
-    """:func:`from_void` on a dense void table."""
-    masses = _transform(v.values[::-1], n, np.subtract)
+def _invert(n, w: _Dense) -> RandomSubset:
+    """:func:`from_void` on w, V at the complement of each mask."""
+    masses = _per_bit(w.values, n, np.subtract)
     worst = int(np.argmin(masses))
-    if masses[worst] < (-MASS_TOL if v.den is None else 0):
-        mass = _to_scalar(v, masses[worst])
+    if masses[worst] < (-MASS_TOL if w.den is None else 0):
+        mass = _to_scalar(w, masses[worst])
         raise NotAVoidFunctional(
             f"mass {mass} at {mask_set(worst, n)}: not completely monotone", witness=worst, mass=mass
         )
-    if v.den is None:
-        masses = np.where(masses < 0, 0.0, masses)
-    return RandomSubset._from_dense(n, _Dense(masses, v.den))
+    if w.den is None:
+        masses[masses < 0] = 0.0
+    return RandomSubset._from_dense(n, _Dense(masses, w.den))
 
 
 def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
@@ -259,24 +237,20 @@ def power_exists(x: RandomSubset, alpha, tol=MASS_TOL) -> PowerVerdict:
     so exact integer exponents classify as existing.  An exact law and an
     integral alpha give exact Fractions; any other pair gives floats.
     """
+    return _power_q(x.n, _containment(x), alpha, tol)
+
+
+def _power_q(n, w: _Dense, alpha, tol) -> PowerVerdict:
     check_tolerance(tol)
-    wa = _power(_containment(x), alpha, overwrite=True)  # a fresh table: transformed in place
-    exact = wa.den is not None
-    q = _Dense(_per_bit(wa.values, x.n, np.subtract), wa.den)
+    w = _power(w, alpha, overwrite=True)
+    exact = w.den is not None
+    q = _Dense(_per_bit(w.values, n, np.subtract), w.den)
     worst = int(np.argmin(q.values))
     low = q.values[worst]
     exists = bool(low >= 0 if exact else low >= -tol)
     min_q = _to_scalar(q, low)
-    return PowerVerdict._lazy(
-        q,
-        exists=exists,
-        alpha=alpha,
-        n=x.n,
-        min_q=min_q,
-        witness=None if exists else worst,
-        boundary=(not exact) and exists and min_q < 0,
-        tol=float(tol),
-    )
+    return PowerVerdict._lazy(q, exists=exists, alpha=alpha, n=n, min_q=min_q, tol=float(tol),
+                              witness=None if exists else worst, boundary=(not exact) and exists and min_q < 0)
 
 
 def union_iid(x: RandomSubset, m: int) -> RandomSubset:
@@ -287,12 +261,17 @@ def union_iid(x: RandomSubset, m: int) -> RandomSubset:
     rounding into V(empty)^m far from 1 (the same amplification
     :func:`poisson_union` avoids).
     """
+    return _union(x.n, _containment(x), m)
+
+
+def _union(n, w: _Dense, m) -> RandomSubset:
+    # V(empty) is w[-1]: w is V reversed
     m = check_m(m)
-    w = _containment(x)
-    v = w.values[::-1]
-    vm = _power(_Dense(v, w.den) if w.den is not None else _Dense(v / v[0]), m, overwrite=True)
-    _check_void(vm)
-    return _invert(x.n, vm)
+    if w.den is None:
+        np.divide(w.values, w.values[-1], out=w.values)
+    w = _power(w, m, overwrite=True)
+    _check_void(w._replace(values=w.values[::-1]))
+    return _invert(n, w)
 
 
 def poisson_union(x: RandomSubset, lam) -> RandomSubset:
@@ -303,14 +282,18 @@ def poisson_union(x: RandomSubset, lam) -> RandomSubset:
     would otherwise turn that rounding into V(empty) < 1.  Masses that the
     inversion leaves below -MASS_TOL raise NotAVoidFunctional.
     """
+    return _poisson(x.n, _containment(x), lam)
+
+
+def _poisson(n, w: _Dense, lam) -> RandomSubset:
     if not math.isfinite(lam):
         raise DomainViolation(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise DomainViolation("lambda must be positive")
-    v = _floats(_containment(x))[::-1]  # a fresh table: the exponent is formed in place
-    v -= v[0]
+    v = _floats(w)
+    v -= v[-1]
     v *= float(lam)
-    return _invert(x.n, _Dense(_exp(v)))
+    return _invert(n, _Dense(_exp(v)))
 
 
 def singleton_set(*ps) -> RandomSubset:
@@ -471,15 +454,24 @@ def parse_void_text(text) -> VoidFunctional:
     'p/q' values stay exact.  The table is held dense.
     """
     n, entries = _read_mask_lines(text, "void-functional", "value", _void_value)
-    table = [None] * (1 << n)
+    floats, seen, exact = np.zeros(1 << n), bytearray(1 << n), None
     for lineno, mask, value in entries:
-        if table[mask] is not None:
+        if seen[mask]:
             raise FormatError(f"duplicate mask {mask}", line=lineno)
-        table[mask] = value
-    missing = [i for i, v in enumerate(table) if v is None]
-    if missing:
-        raise FormatError(f"missing entries for masks {missing[:4]}...")
-    return VoidFunctional._from_dense(n, _coerce(table)[1])
+        seen[mask] = 1
+        if isinstance(value, float):
+            floats[mask] = value
+            continue
+        exact = exact or [None] * (1 << n)
+        exact[mask] = value
+    if 0 in seen:
+        raise FormatError(f"missing entries for masks {[m for m in range(1 << n) if not seen[m]][:4]}...")
+    if exact and None not in exact:  # no float: the table stays exact
+        return VoidFunctional._from_dense(n, _coerce(exact)[1])
+    for mask, value in enumerate(exact or ()):  # one float makes the whole table float
+        if value is not None:
+            floats[mask] = float(value)
+    return VoidFunctional._from_dense(n, _Dense(floats))
 
 
 def write_distribution_file(x: RandomSubset, path):

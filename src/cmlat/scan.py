@@ -16,11 +16,12 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+# imported before numpy, so that numpy's import reuses the memory of compiling randset.py
+from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
 import numpy as np
 
 from ._kernel import _coerce, _Dense, _float_power, _floats, _int_dtype, _magnitude, _numerators, _per_bit, _to_scalars
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
-from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
 
 SCAN_MARGIN = 1e-8
 REFINE_TOL = 1e-10

@@ -185,11 +185,10 @@ def _float_law_text(n, atoms, seed):
     return f"{n}\n" + "".join(f"{m} {w / total!r}\n" for m, w in zip(masks, weights))
 
 
-def test_power_exists_command_memory_n18(tmp_path, capsys):
-    # a negative verdict with a witness: the 2^18 q_values tuple (about 16 MiB
-    # of floats and pointers) is never built, nor is the law's probs tuple
+def _power_exists_peak(tmp_path, capsys, n):
+    """The traced peak of a negative `power-exists` on a 256-atom law over [n]."""
     path = tmp_path / "law.dist"
-    path.write_text(_float_law_text(18, 256, seed=18))
+    path.write_text(_float_law_text(n, 256, seed=n))
     tracemalloc.start()
     try:
         code = main(["randset", "power-exists", "--dist", str(path), "--alpha", "0.5"])
@@ -198,7 +197,21 @@ def test_power_exists_command_memory_n18(tmp_path, capsys):
         tracemalloc.stop()
     out = capsys.readouterr().out
     assert code == 1 and '"witness"' in out
-    assert peak < 12 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+    return peak
+
+
+def test_power_exists_command_memory_n18(tmp_path, capsys):
+    # a negative verdict with a witness: the 2^18 q_values tuple (about 16 MiB
+    # of floats and pointers) is never built, nor is the law's probs tuple;
+    # the transforms and the power run in the parsed law's own 2 MiB table
+    peak = _power_exists_peak(tmp_path, capsys, 18)
+    assert peak < 2.9 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def test_power_exists_command_memory_n20(tmp_path, capsys):
+    # one 8 MiB table at the ground-set cap
+    peak = _power_exists_peak(tmp_path, capsys, 20)
+    assert peak < 10 << 20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def _traced_peak(argv):
@@ -215,18 +228,20 @@ def _traced_peak(argv):
 
 
 @pytest.mark.parametrize("n, args, budget_mib", [
-    (16, ["poisson", "--lam", "2.5"], 4),
+    (16, ["poisson", "--lam", "2.5"], 1.4),
     (14, ["void", "--csv", "{tmp}/void.csv"], 3),
     (18, ["void"], 24),
+    (16, ["union", "--m", "3"], 1.4),
 ])
 def test_mask_table_commands_stream_their_output(tmp_path, n, args, budget_mib):
     # the rows are written chunk by chunk from the dense table: no 2^n list of
-    # texts, rows or Python scalars is built
+    # texts, rows or Python scalars is built; `poisson` and `union` work in the
+    # parsed law's own 0.5 MiB table
     path = tmp_path / "law.dist"
     path.write_text(_float_law_text(n, 256, seed=n))
     argv = ["randset", args[0], "--dist", str(path), *[a.format(tmp=tmp_path) for a in args[1:]]]
     peak = _traced_peak(argv)
-    assert peak <= budget_mib << 20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert peak <= budget_mib * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_document_text_is_written_in_slices(tmp_path):

@@ -600,6 +600,19 @@ def test_void_document_number_rule():
         assert info.value.line == 3
 
 
+def test_void_document_duplicate_and_missing_masks():
+    with pytest.raises(FormatError, match="^line 4: duplicate mask 1$") as info:
+        parse_void_text("2\n0 1\n1 0.5\n1 1/2\n2 1/2\n3 1/4\n")
+    assert info.value.line == 4
+    for doc, missing in (("2\n0 1\n2 1/2\n", "[1, 3]"), ("3\n0 1\n# c\n5 0.5\n", "[1, 2, 3, 4]")):
+        with pytest.raises(FormatError) as info:
+            parse_void_text(doc)
+        assert str(info.value) == f"missing entries for masks {missing}..." and info.value.line is None
+    # one decimal value makes the whole table float, each exact value rounded once
+    v = parse_void_text("2\n0 1\n1 1/3\n2 0.5\n3 1/7\n")
+    assert v.kind == "float" and v.table == (1.0, 1 / 3, 0.5, 1 / 7)
+
+
 def test_distribution_format_roundtrip():
     rng = random.Random(37)
     x = random_rational_subset(3, rng)

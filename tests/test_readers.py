@@ -202,5 +202,6 @@ def test_parsing_an_open_float_void_file_holds_no_copy_of_it(tmp_path):
         finally:
             tracemalloc.stop()
     assert v.kind == "float" and np.array_equal(v._dense.values, void)
-    # read whole, the text and its list of lines made a traced peak of 8.7 MiB
-    assert peak < 4 << 20, f"traced peak {peak / 2**20:.2f} MiB"
+    # read whole, the text and its list of lines made a traced peak of 8.7 MiB;
+    # a list of the values and its copies, 3.1 MiB
+    assert peak < 1.5 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
