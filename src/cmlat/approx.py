@@ -18,9 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from ._scalars import check_m
-from .cm import LatticeFunction, extend_cm, poisson_accompany, power
 from .errors import ChainLattice, DomainViolation, SizeLimitExceeded, _ensure
-from .lattice import FiniteLattice
 
 LOWER_BOUND_CONSTANT = 1.0 / (4.0 * math.sqrt(math.e) * (2.0 + math.sqrt(math.e)))
 LIMIT_M_TIMES_GAP = 2.0 / math.e**2
@@ -99,6 +97,18 @@ def scalar_gap(t: float, m: int) -> float:
     return abs(t**m - math.exp(m * (t - 1.0)))
 
 
+def _gap_in_s(s: float, m: int) -> float:
+    """The gap |t^m - e^{m(t-1)}| at t = 1 - s/m, for 0 <= s <= m.  With u = s/m,
+    m log(1-u) = -s - s L(u) for L = ``_log_excess``, so the gap is
+    e^{-s} (1 - e^{-s L(u)}), taken through expm1 with no cancellation."""
+    u = s / m
+    if u >= 1.0:
+        return math.exp(-s)
+    if u <= 0.0:
+        return 0.0
+    return -math.exp(-s) * math.expm1(-s * _log_excess(u))
+
+
 def _direct_max(fn, lo, hi):
     """Independent maximizer: 2048-cell grid scan, golden refinement at the peak.
 
@@ -118,22 +128,21 @@ def sup_gap(m: int) -> float:
     """sup over t in [0, 1] of |t^m - e^{m(t-1)}|.
 
     Closed form t_m^{m-1} - t_m^m = u (1-u)^{m-1} for m >= 2, with u = 1 - t_m,
-    taken as u exp((m-1) log1p(-u)) so that it does not cancel for large m;
-    direct maximization for m = 1 (the critical-point equation degenerates
-    there and the sup sits at t = 0 with value 1/e).  A grid-plus-golden-
-    section maximization cross-validates the closed form.
+    taken as u exp((m-1) log1p(-u)) so that it does not cancel for large m.
+    At m = 1 the critical-point equation degenerates: e^{t-1} - t decreases on
+    [0, 1], so the sup is 1/e at t = 0.  A grid-plus-golden-section
+    maximization cross-validates the closed form to 1e-12 relative.
     """
     m = _check_float_m(m)
     if m == 1:
-        value = _direct_max(lambda t: scalar_gap(t, 1), 0.0, 1.0)[1]
-    else:
-        u = _sup_gap_u(m)
-        value = u * math.exp((m - 1) * math.log1p(-u))
-    if m > 1:
-        # searched in s = m (1 - t): the gap at s is at most e^{-s}, far below
-        # the tolerance past s = 64, and a grid over t misses a peak of width 1/m
-        _, direct = _direct_max(lambda s: scalar_gap(1.0 - s / m, m), 0.0, min(m, 64))
-        _ensure(abs(value - direct) <= 1e-9 * max(1.0, value), f"sup_gap({m}): {value} != direct {direct}")
+        return math.exp(-1.0)
+    u = _sup_gap_u(m)
+    value = u * math.exp((m - 1) * math.log1p(-u))
+    # searched in s = m (1 - t), since a grid over t misses a peak of width 1/m:
+    # past s = 64 the gap is at most e^{-s} min(1, s^2/m), below 1e-23 of the
+    # value, which m sup_gap(m) > 2/e^2 keeps above 0.27/m
+    _, direct = _direct_max(lambda s: _gap_in_s(s, m), 0.0, min(m, 64))
+    _ensure(abs(value - direct) <= 1e-12 * value, f"sup_gap({m}): {value} != direct {direct}")
     return value
 
 
@@ -172,12 +181,10 @@ class ApproxReport:
     t_m: float | None
     sup_gap: float
     m_times_gap: float
-    lower_witness: RandomSubset
     necessary_condition_slack: float
     separation: float
     separation_bound: float
     separation_holds: bool
-    lower_constant: float
     m_threshold: int | None
     notes: tuple
 
@@ -247,13 +254,12 @@ def separation_threshold() -> int | None:
 def lower_bound_witness(m: int) -> ApproxReport:
     """Evaluate the lower-bound contradiction ingredients at a given m.
 
-    (i) the two-point witness X and its m-fold union X_m, whose necessary
-    condition V({a,b}) - V({a}) V({b}) is strictly violated; (ii) the 1/(4em)
-    separation with its threshold m0 from scanning; (iii) the limiting
-    constant 1/(4 sqrt(e) (2 + sqrt(e))).
+    (i) the slack V({a,b}) - V({a}) V({b}) of the m-fold union X_m of the
+    two-point witness X (``two_point_set``), whose necessary condition it
+    strictly violates; (ii) the 1/(4em) separation with its threshold m0 from
+    scanning.  The limiting constant is ``LOWER_BOUND_CONSTANT``.
     """
     m = _check_float_m(m)
-    x = two_point_set(m)
     # the union's void functional is V**m, with V(ab) = 1 - 1/m and
     # V(a) = V(b) = 1 - 1/(2m)
     single = _rounded_power(2 * m, m)
@@ -271,12 +277,10 @@ def lower_bound_witness(m: int) -> ApproxReport:
         t_m=sup_gap_argmax(m) if m >= 2 else None,
         sup_gap=gap,
         m_times_gap=m * gap,
-        lower_witness=x,
         necessary_condition_slack=slack,
         separation=separation,
         separation_bound=bound,
         separation_holds=holds,
-        lower_constant=LOWER_BOUND_CONSTANT,
         m_threshold=separation_threshold(),
         notes=tuple(notes),
     )
@@ -304,6 +308,8 @@ def lattice_square_witness(lat: FiniteLattice, m: int) -> SquareWitnessReport:
     The slack reported is g^m(a) g^m(d) - g^m(b) g^m(c) on the square, the
     same scalar quantities as for the two-point random set.
     """
+    from .cm import extend_cm, poisson_accompany, power
+
     m = check_m(m)
     square = None
     for b in lat.elements:

@@ -369,10 +369,7 @@ def cmd_scan_schur(args):
 def cmd_approx_psi(args):
     from . import approx as approx_mod
 
-    if args.m_list:
-        ms = [_parse("--m-list", t, int) for t in args.m_list.split(",")]
-    else:
-        ms = [args.m]
+    ms = [args.m] if args.m_list is None else [_parse("--m-list", t, int) for t in args.m_list.split(",")]
     fields = ("m", "t_m", "sup_gap", "m_times_gap", "necessary_condition_slack", "separation",
               "separation_bound", "separation_holds")
     reports = [approx_mod.lower_bound_witness(m) for m in ms]

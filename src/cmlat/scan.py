@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 # imported before numpy, so that numpy's import reuses the memory of compiling randset.py
@@ -65,15 +65,6 @@ class ExponentialPolynomial:
     def __call__(self, alpha) -> float:
         return math.fsum(float(c) * float(b) ** float(alpha) for c, b in self.terms)
 
-    def sign_changes(self) -> int:
-        """Sign changes of the coefficients in decreasing-base order.
-
-        Bounds the number of positive zeros of the polynomial (descending
-        bases play the role of descending powers in the classical rule).
-        """
-        signs = [1 if c > 0 else -1 for c, _ in self.terms]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
     def grid_values(self, alphas: np.ndarray) -> np.ndarray:
         coefs, bases = np.array(self.terms, dtype=float).reshape(-1, 2).T
         return _term_sums(coefs[None], _float_power(bases[:, None], alphas))[0]
@@ -114,8 +105,11 @@ def q_poly(x: RandomSubset, a_mask: int) -> ExponentialPolynomial:
 
 
 def sign_change_bound(poly: ExponentialPolynomial) -> int:
-    """Upper bound on the positive zeros of a canonical exponential polynomial."""
-    return poly.sign_changes()
+    """Upper bound on the positive zeros of a canonical exponential polynomial:
+    the sign changes of its coefficients in decreasing-base order (descending
+    bases play the role of descending powers in Descartes' rule)."""
+    signs = [c > 0 for c, _ in poly.terms]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # --- interval scan of S_X ------------------------------------------------------
@@ -154,9 +148,11 @@ def scan_S(x: RandomSubset, T, step: float = 0.01) -> IntervalSet:
     """Map S_X over [0, T] by a grid scan of min_A q(A) with refinement.
 
     Grid points classify as existing when the minimum clears -SCAN_MARGIN;
-    run boundaries are refined by bisection to REFINE_TOL; integers whose
-    neighborhoods are negative are force-included as isolated points (they
-    always belong).
+    run boundaries are refined by bisection to REFINE_TOL.  The integers
+    0..floor(T) are evaluated once: a run narrower than the grid snaps to an
+    integer within a step, and an integer no component covers is added as an
+    isolated point, in both cases only when the integer clears -SCAN_MARGIN
+    itself.  None is forced in; an integer left out raises InvariantViolation.
     """
     return _scan(x, T, step)[0]
 
@@ -182,7 +178,7 @@ def _scan(x: RandomSubset, T, step):
     (alpha, min_A q(A), argmin mask), the CSV view.
 
     One containment table serves the grid, the bisection of every run end and
-    the integer checks.  Each is one block of alphas, evaluated in chunks whose
+    the integers.  Each is one block of alphas, evaluated in chunks whose
     rows of q take at most SCAN_BLOCK_BYTES (one row when a row is larger).
     """
     if not (math.isfinite(T) and math.isfinite(step)):
@@ -191,6 +187,8 @@ def _scan(x: RandomSubset, T, step):
         raise DomainViolation("need T > 0 and step > 0")
     if T / step > GRID_POINT_CAP:
         raise BudgetExceeded(f"grid of T/step = {T / step:.3g} points exceeds cap {GRID_POINT_CAP}")
+    if T > GRID_POINT_CAP:  # the integers 0..floor(T) are one block too
+        raise BudgetExceeded(f"T = {T:.3g} puts more than {GRID_POINT_CAP} integers in the scan")
     w = _floats(_containment(x))
     rows_per_block = max(1, SCAN_BLOCK_BYTES // w.nbytes)
 
@@ -204,9 +202,6 @@ def _scan(x: RandomSubset, T, step):
         vals[zero] = 0.0
         masks[zero] = 0
         return vals, masks
-
-    def exists_at(alphas):
-        return min_q(np.asarray(alphas, dtype=float))[0] >= -SCAN_MARGIN
 
     count = int(round(float(T) / step))
     grid = np.asarray(np.arange(count + 1) * step, dtype=float)
@@ -230,13 +225,15 @@ def _scan(x: RandomSubset, T, step):
         if not len(open_):
             break
         mid = 0.5 * (left[open_] + right[open_])
-        same = exists_at(mid) == left_exists[open_]
+        same = (min_q(mid)[0] >= -SCAN_MARGIN) == left_exists[open_]
         left[open_[same]] = mid[same]
         right[open_[~same]] = mid[~same]
     ends = dict(zip(below.tolist(), (0.5 * (left + right)).tolist()))
 
+    # min q at the integers 0..floor(T): a narrow run snaps to an integer, and
+    # an integer no run covers is added, only where that integer exists
+    at_integers = min_q(np.arange(math.floor(float(T)) + 1, dtype=float))[0].tolist()
     components = []
-    snaps = {}  # index of a point component -> the integer it snaps to if that exists
     width_cut = max(step / 2, 4 * REFINE_TOL)
     for i, j in zip(firsts.tolist(), lasts.tolist()):
         lo = float(grid[i]) if i == 0 else ends[i - 1]
@@ -245,24 +242,19 @@ def _scan(x: RandomSubset, T, step):
         if hi - lo <= width_cut:
             pos = 0.5 * (lo + hi)
             snapped = round(pos)
-            if abs(pos - snapped) <= step and 0 <= snapped <= T:
-                snaps[len(components)] = snapped
+            if abs(pos - snapped) <= step and 0 <= snapped <= T and at_integers[snapped] >= -SCAN_MARGIN:
+                pos = float(snapped)
             components.append(IntervalComponent(pos, pos, True, run_margin))
         else:
             components.append(IntervalComponent(lo, hi, False, run_margin))
-    for k, snapped_exists in zip(snaps, exists_at(list(snaps.values())).tolist()):
-        if snapped_exists:
-            components[k] = replace(components[k], lo=float(snaps[k]), hi=float(snaps[k]))
-
-    uncovered = [j for j in range(int(math.floor(float(T))) + 1) if not any(c.covers(j) for c in components)]
-    for j, mj in zip(uncovered, min_q(np.array(uncovered, dtype=float))[0].tolist()):
-        if mj >= -SCAN_MARGIN:
+    for j, mj in enumerate(at_integers):
+        if mj >= -SCAN_MARGIN and not any(c.covers(j) for c in components):
             components.append(IntervalComponent(float(j), float(j), True, mj))
     components.sort(key=lambda c: c.lo)
     for a, b in zip(components, components[1:]):
         _ensure(a.hi < b.lo, "components must be disjoint and sorted")
     out = IntervalSet(tuple(components), (0.0, float(T)), float(step))
-    for j in range(int(math.floor(float(T))) + 1):
+    for j in range(len(at_integers)):
         _ensure(out.covers(j), f"integer {j} must belong to S_X")
     return out, (grid, vals, argmin_masks)
 
@@ -422,9 +414,7 @@ def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
     np.add.at(coefs, which, np.where((n - _sizes(n)[1:]) & 1, -1, 1))
     poly = ExponentialPolynomial(zip(coefs.tolist(), _to_scalars(_Dense(bases, sums.den))))
 
-    def scale_at(alpha):
-        return math.fsum(abs(float(c)) * float(b) ** float(alpha) for c, b in poly.terms)
-
+    scale_at = ExponentialPolynomial((abs(c), b) for c, b in poly.terms)
     integer_values = []
     for j in range(1, n):
         qj = poly(j)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmlat import approx
 from cmlat.approx import (
     LIMIT_M_TIMES_GAP,
     LOWER_BOUND_CONSTANT,
@@ -21,7 +22,7 @@ from cmlat.approx import (
     upper_bound_witness,
 )
 from cmlat.cm import LatticeFunction, is_cm, poisson_accompany, power
-from cmlat.errors import BudgetExceeded, ChainLattice, DomainViolation, SizeLimitExceeded
+from cmlat.errors import BudgetExceeded, ChainLattice, DomainViolation, InvariantViolation, SizeLimitExceeded
 from cmlat.lattice import boolean_lattice, chain_lattice, diamond_lattice, materialize
 from cmlat.randset import RandomSubset, is_m_divisible, union_iid, uniform_singleton, void_functional
 
@@ -64,8 +65,17 @@ def test_asymptotic_t_m():
 
 
 def test_sup_gap_m1_is_1_over_e():
-    assert sup_gap(1) == pytest.approx(1.0 / math.e, abs=1e-9)
+    assert sup_gap(1) == math.exp(-1.0)
     assert scalar_gap(0.0, 1) == pytest.approx(1.0 / math.e)
+
+
+@pytest.mark.parametrize("factor", [2.0, 1 + 1e-6])
+def test_sup_gap_cross_check_is_relative(monkeypatch, factor):
+    # an absolute 1e-9 passed a root twice too large once the gap fell below 1e-9
+    root = approx._sup_gap_u
+    monkeypatch.setattr(approx, "_sup_gap_u", lambda m: factor * root(m))
+    with pytest.raises(InvariantViolation, match=r"sup_gap\(1000000000000\)"):
+        sup_gap(10**12)
 
 
 def test_sup_gap_closed_form_matches_direct_max():

@@ -505,7 +505,9 @@ def test_lattice_check_chain64_by_chain32(tmp_path, capsys):
 @pytest.mark.parametrize(
     "T, step, error",
     [("inf", "0.01", "DomainViolation"), ("nan", "0.01", "DomainViolation"),
-     ("4", "nan", "DomainViolation"), ("4", "1e-9", "BudgetExceeded")],
+     ("4", "nan", "DomainViolation"), ("4", "1e-9", "BudgetExceeded"),
+     # a wide step does not make a long range cheap: every integer up to T is evaluated
+     ("2e6", "10", "BudgetExceeded: T = 2e+06")],
 )
 def test_scan_unbounded_grid_exits_two(capsys, T, step, error):
     code, doc, err = run(capsys, "scan", "s-set", "--dist", "uniform-singleton:3", "--T", T, "--step", step)
@@ -593,6 +595,8 @@ def test_schur_with_huge_coordinates_exits_two(capsys):
         (["lattice", "check", "--lattice", "pentagon:7"], "input error: --lattice: bad value '7'"),
         (["lattice", "make", "--kind", "pentagon:x", "--out-lattice", "{fn}.lat"],
          "input error: --kind: bad value 'x'"),
+        # an empty list is a bad value, not an absent one that falls back to --m
+        (["approx", "psi", "--m-list", ""], "input error: --m-list: bad value ''"),
     ],
 )
 def test_out_of_domain_parameters_are_typed_errors(tmp_path, capsys, argv, prefix):
