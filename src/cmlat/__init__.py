@@ -28,7 +28,6 @@ _EXPORTS = {
         "CmVerdict",
         "LatticeFunction",
         "WeightFunction",
-        "cm_power_threshold_check",
         "delta",
         "extend_cm",
         "is_cm",
@@ -60,7 +59,6 @@ _EXPORTS = {
         "MomentSequence",
         "finite_diff_cm_check",
         "hankel_psd_check",
-        "laplace_power_counterexample",
         "two_atom_power_counterexample",
         "two_atom_sequence",
     ),
@@ -84,13 +82,11 @@ _EXPORTS = {
         "IntervalSet",
         "MultiIntervalCertificate",
         "construct_multi_interval",
-        "power_difference_profile",
         "q_poly",
         "scan_S",
         "schur_gradient_check",
         "sign_change_bound",
         "simplex_form",
-        "singleton_alternating_sum",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -11,7 +11,9 @@ Each table (the bulk of a randset or cm document) is then written straight
 from its dense arrays, ``CHUNK_ROWS`` rows at a time: only one chunk's texts
 exist at once.
 
-The CLI imports this module when it emits, after the command's work.
+The CLI imports this module when it emits, after the command's work; numpy
+is imported only where a table is encoded, so a document without one (the
+1/m report of `approx psi`) loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import itertools
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-
-import numpy as np
 
 
 def _infinity_error(value) -> ValueError:
@@ -56,6 +56,8 @@ def string_order(masks) -> np.ndarray:
     zeros) goes to the shorter string.  The sort key, aligned * 8 + digit
     count - 1, is the one int64 temporary, built in place from the widest
     power of ten down."""
+    import numpy as np
+
     masks = np.asarray(masks, dtype=np.int64)
     key = masks * 8
     power = 10 ** (len(str(masks.max(initial=0))) - 1)
@@ -85,6 +87,8 @@ class ValueList:
     _BRACKETS = "[]"
 
     def __init__(self, values, den=None):
+        import numpy as np
+
         self.den = den
         self.values = np.asarray(values, dtype=float if den is None else None)
 
@@ -94,6 +98,8 @@ class ValueList:
     def check(self):
         """Raise ValueError, as the JSON encoder would, at the first infinite
         value in the order written."""
+        import numpy as np
+
         values = self.values
         if self.den is None and values.size and not -math.inf < values.min() <= values.max() < math.inf:
             bad = np.flatnonzero(np.isinf(values))  # min and max are NaN when a NaN is present
@@ -126,6 +132,8 @@ class MaskTable(ValueList):
     _BRACKETS = "{}"
 
     def __init__(self, n, masks, column, values, den=None):
+        import numpy as np
+
         super().__init__(values, den)
         self.n, self.column = n, column
         self.masks = np.asarray(masks, dtype=np.int64)

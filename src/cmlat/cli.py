@@ -362,7 +362,7 @@ def cmd_scan_schur(args):
     from . import scan as scan_mod
 
     point = [_parse("--x", t, float) for t in args.x.split(",")]
-    value = scan_mod.schur_gradient_check(point, args.alpha, h=args.h)
+    value = scan_mod.schur_gradient_check(point, args.alpha)
     return {"x": point, "product": value, "positive": value > 0}, EXIT_OK if value > 0 else EXIT_NEGATIVE
 
 
@@ -434,8 +434,11 @@ def build_parser(group=None) -> argparse.ArgumentParser:
 
 
 def _add(group_parser, name, handler, config=(), **kwargs):
-    """Register a subcommand; ``config`` names the options its document echoes."""
-    p = group_parser.add_parser(name, **kwargs)
+    """Register a subcommand; ``config`` names the options its document echoes.
+    Its long options are matched in full only: a prefix is a usage error, not
+    the option it abbreviates, so an option a command no longer has cannot
+    pass for another (a prefix of ``--help`` would print help and exit 0)."""
+    p = group_parser.add_parser(name, allow_abbrev=False, **kwargs)
     p.set_defaults(handler=handler, config=config)
     p.add_argument("--out", help="write the JSON document here instead of stdout")
     return p
@@ -507,10 +510,9 @@ def _scan_commands(add):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--step", type=float, default=1e-3)
-    p = add("schur", cmd_scan_schur, help="finite-difference Schur condition", config=("alpha", "h"))
+    p = add("schur", cmd_scan_schur, help="closed-form Schur condition", config=("alpha",))
     p.add_argument("--x", required=True, help="comma-separated interior point")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--h", type=float, default=None)
 
 
 def _approx_commands(add):

@@ -36,7 +36,7 @@ from ._kernel import (
     _to_scalar,
     _to_scalars,
 )
-from ._scalars import RATIONAL, check_m, check_tolerance, is_integral
+from ._scalars import RATIONAL, check_m, check_tolerance
 from .errors import (
     BudgetExceeded,
     DomainViolation,
@@ -230,20 +230,6 @@ def power(f: LatticeFunction, alpha) -> LatticeFunction:
     BudgetExceeded before it is taken; a float overflow, DomainViolation.
     """
     return LatticeFunction._from_dense(f.lattice, _power(f._dense, alpha))
-
-
-def cm_power_threshold_check(f: LatticeFunction, alpha) -> CmVerdict:
-    """Verdict for f**alpha given c.m. f.
-
-    For integral alpha, or alpha >= d_max - 1, the verdict must be positive;
-    anything else indicates an implementation bug and raises InvariantViolation.
-    """
-    if not is_cm(f).is_cm:
-        raise NotCmInput("input function is not completely monotone")
-    verdict = is_cm(power(f, alpha))
-    if is_integral(alpha) or alpha >= d_max(f.lattice) - 1:
-        _ensure(verdict.is_cm, f"power {alpha} of a c.m. function must stay c.m. at or above the threshold")
-    return verdict
 
 
 def sharpness_witness(L: FiniteLattice) -> LatticeFunction:

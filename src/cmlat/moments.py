@@ -11,7 +11,7 @@ Each sequence is a `_kernel._Table`; every check reads its dense table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -162,7 +162,6 @@ class HankelCertificate:
     trace: float
     vector: tuple
     decisive: bool
-    source: str = "two-atom"
 
 
 def _hankel_sweep(x, alpha, order_cap):
@@ -196,12 +195,3 @@ def two_atom_power_counterexample(x, alpha, order_cap: int = ORDER_CAP) -> Hanke
                                      decisive=not v.indeterminate)
     raise SearchBudgetExceeded(f"no Hankel violation up to order {order_cap}")
 
-
-def laplace_power_counterexample(y, alpha) -> HankelCertificate:
-    """Continuous bridge: g(t) = (1 + e^{-t y})/2 sampled at integers is the
-    two-atom sequence with x = e^{-y}; the same Hankel certificate refutes
-    complete monotonicity of g^alpha."""
-    if y <= 0:
-        raise DomainViolation("y must be positive")
-    cert = two_atom_power_counterexample(math.exp(-float(y)), alpha)
-    return replace(cert, source=f"laplace y={float(y)!r}")

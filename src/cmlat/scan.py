@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # imported before numpy, so that numpy's import reuses the memory of compiling randset.py
-from .randset import SUM_TOL, RandomSubset, _check_ground, _containment
+from .randset import RandomSubset, _check_ground, _containment
 import numpy as np
 
-from ._kernel import _coerce, _Dense, _float_power, _floats, _int_dtype, _magnitude, _numerators, _per_bit, _to_scalars
+from ._kernel import _coerce, _Dense, _float_power, _floats, _int_dtype, _magnitude, _numerators, _per_bit
 from .errors import BudgetExceeded, DomainViolation, SearchFailed, _ensure
 
 SCAN_MARGIN = 1e-8
@@ -38,7 +38,6 @@ CERTIFY_BUDGET = 40000
 GRID_POINT_CAP = 10**6
 SCAN_BLOCK_BYTES = 1 << 18  # bound on the rows of q of one _min_q call in _scan
 COVER_SLACK = 1e-9  # IntervalComponent.covers widens a component by this much
-PROFILE_TOL = 1e-9  # power_difference_profile's tolerance, relative to sum |c_i| b_i^alpha
 
 
 @dataclass(frozen=True)
@@ -264,17 +263,6 @@ def _scan(x: RandomSubset, T, step):
 # alpha, before its 2^n tables.
 
 
-def _float_of(value, message) -> float:
-    """``float(value)``; a NaN or infinite value, or one beyond the float range,
-    raises DomainViolation(``message`` with the value shown).  The bound is
-    compared as a Python float, so 10**400 is refused before ``float`` raises
-    OverflowError (an np.float64 bound overflows on the comparison too)."""
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        shown = value if isinstance(value, float) else "a value beyond the float range"
-        raise DomainViolation(message.format(shown))
-    return float(value)
-
-
 def _set_sums(d: _Dense) -> _Dense:
     """s_B, the sum of the values of ``d`` (a table from `_coerce`) at the
     i in B (in index order), for every mask B.  A sum has at most n terms,
@@ -296,6 +284,11 @@ def simplex_form(x, alpha) -> float:
 
     Defined on the closed simplex {x_i >= 0, sum x_i <= 1}; vanishes on its
     boundary and is strictly negative inside for alpha in (n-1, n).
+
+    For positive masses p_1..p_{n+1} summing to one, ``simplex_form(p[:-1], alpha)``
+    is the full-set alternating sum sum_B (-1)^{n+1-|B|} P{X in B}^alpha of the
+    singleton-supported X with those masses: strictly negative on the last
+    gap (n-1, n), zero at the integers up to n (q_poly is its oracle).
     """
     vals, d = _coerce(x)
     n = len(vals)
@@ -304,9 +297,12 @@ def simplex_form(x, alpha) -> float:
     _check_ground(n)
     if any(v < 0 for v in vals) or sum(vals) > 1 + 1e-12:
         raise DomainViolation("point must satisfy x_i >= 0 and sum <= 1")
-    if not alpha > 0:  # NaN too: a NaN power would pass for a value
-        raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
-    a = _float_of(alpha, "alpha must be positive and finite, got {}")
+    # NaN fails too (a NaN power would pass for a value); the bound is a Python
+    # float, so 10**400 is refused here before float() raises OverflowError
+    if not 0 < alpha <= sys.float_info.max:
+        shown = alpha if isinstance(alpha, float) or not alpha > 0 else "a value beyond the float range"
+        raise DomainViolation(f"alpha must be positive and finite, got {shown}")
+    a = float(alpha)
     s = np.minimum(_set_sums(_Dense(_floats(d))).values[1:], 1.0)
     k = _sizes(n)[1:]
     terms = np.where((n + 1 - k) & 1, -1.0, 1.0) * _float_power(s, a)
@@ -314,46 +310,15 @@ def simplex_form(x, alpha) -> float:
     return math.fsum([1.0, *terms.tolist()])
 
 
-def singleton_alternating_sum(p, alpha) -> float:
-    """Full-ground-set alternating sum sum_B (-1)^{n-|B|} P{X in B}^alpha for a
-    singleton-supported X with masses p; strictly negative on the last gap
-    (n-2, n-1), zero at the integers up to n-1.
+def schur_gradient_check(x, alpha) -> float:
+    """Schur-convexity condition (x_1 - x_2) (dF/dx_1 - dF/dx_2) for the
+    simplex form F, in closed form; positive on the open simplex when
+    x_1 != x_2 and alpha in (n-1, n).
 
-    Checked internally to equal the simplex form at (p_1, ..., p_{n-1}).
+    dF/dx_i = alpha sum over B holding i of
+    [(-1)^{n+1-|B|} s_B^{alpha-1} - (-1)^{|B|} (1-s_B)^{alpha-1}];
+    the B holding both i = 1 and 2 cancel in the difference.
     """
-    vals, d = _coerce(p)
-    n = len(vals)
-    if n < 1 or any(v <= 0 for v in vals):
-        raise DomainViolation("masses must be positive")
-    _check_ground(n)
-    total = sum(vals)
-    bad = total != 1 if d.den is not None else abs(total - 1.0) > SUM_TOL
-    if bad:
-        raise DomainViolation(f"masses sum to {total}, not 1")
-    if not alpha > 0:  # NaN too: a NaN power would pass for a value
-        raise DomainViolation(f"alpha must be positive and finite, got {alpha}")
-    a = _float_of(alpha, "alpha must be positive and finite, got {}")
-    floats = _floats(d).tolist()
-    # s_B: the rounded masses summed exactly, over a power of two, then rounded once (their fsum)
-    s = _floats(_set_sums(_coerce(map(Fraction, floats))[1]))[1:]
-    acc = np.where((n - _sizes(n)[1:]) & 1, -1.0, 1.0) * _float_power(s, a)
-    value = math.fsum(acc.tolist())
-    if n >= 2:
-        check = simplex_form(floats[:-1], a)
-        scale = max(1.0, math.fsum(np.abs(acc).tolist()))
-        # s_B^(a-1) added in mask order over the B that hold the last point
-        slope = float(np.cumsum(_float_power(s[(1 << (n - 1)) - 1 :], a - 1))[-1])
-        # the simplex form reads 1 - s_B where the masses give (sum p) - s_B:
-        # to first order the sum's error moves each of those terms by a s_B^(a-1)
-        drift = abs(total - 1) * a * slope
-        _ensure(abs(value - check) <= 1e-12 * scale + drift, "identity with the simplex form failed")
-    return value
-
-
-def schur_gradient_check(x, alpha, h=None) -> float:
-    """Finite-difference Schur-convexity condition
-    (x_1 - x_2) (dF/dx_1 - dF/dx_2) for the simplex form; positive on the
-    open simplex when x_1 != x_2 and alpha in (n-1, n)."""
     vals = [float(v) for v in x]
     n = len(vals)
     if n < 2:
@@ -362,78 +327,21 @@ def schur_gradient_check(x, alpha, h=None) -> float:
     # huge finite coordinates overflows
     if not all(0 < v < 1 for v in vals):
         raise DomainViolation("point must lie in the open simplex")
-    s = math.fsum(vals)
-    if s >= 1:
+    if math.fsum(vals) >= 1:
         raise DomainViolation("point must lie in the open simplex")
     if vals[0] == vals[1]:
         raise DomainViolation("condition requires x_1 != x_2")
     if not n - 1 < alpha < n:
         raise DomainViolation(f"alpha must lie in ({n - 1}, {n})")
-    room = min(min(vals), 1.0 - s)
-    if h is None:
-        h = 1e-6 * room
-    if not 0 < h < room:
-        raise DomainViolation(f"step {h} leaves the domain")
-
-    def shifted(i, sign):
-        y = list(vals)
-        y[i] += sign * h
-        return simplex_form(y, alpha)
-
-    d1 = (shifted(0, +1) - shifted(0, -1)) / (2 * h)
-    d2 = (shifted(1, +1) - shifted(1, -1)) / (2 * h)
-    return (vals[0] - vals[1]) * (d1 - d2)
-
-
-@dataclass(frozen=True)
-class PowerDifferenceReport:
-    """Zeros-at-integers and eventual nonnegativity of the alternating sum
-    q(alpha) = sum_A (-1)^{n-|A|} (sum_{i in A} p_i)^alpha for positive p."""
-
-    n: int
-    integer_values: tuple
-    grid_values: tuple
-    negatives: tuple
-    tol: float
-
-
-def power_difference_profile(p, alpha_grid) -> PowerDifferenceReport:
-    """Evaluate q over the grid; check |q| small at integers <= n-1 and
-    q >= -tol for alpha > n-1; report strictly negative non-integer points.
-    Here tol = PROFILE_TOL * max(1, sum |c_i| b_i^alpha)."""
-    vals, d = _coerce(p)
-    n = len(vals)
-    if n < 1 or any(v <= 0 for v in vals):
-        raise DomainViolation("weights must be positive")
     _check_ground(n)
-    alphas = [_float_of(alpha, "grid entries must be finite, got {}") for alpha in alpha_grid]
-    # equal sums merge here, so only the distinct ones become Python scalars
-    sums = _set_sums(d)
-    bases, which = np.unique(sums.values[1:], return_inverse=True)
-    coefs = np.zeros(len(bases), dtype=np.int64)
-    np.add.at(coefs, which, np.where((n - _sizes(n)[1:]) & 1, -1, 1))
-    poly = ExponentialPolynomial(zip(coefs.tolist(), _to_scalars(_Dense(bases, sums.den))))
-
-    scale_at = ExponentialPolynomial((abs(c), b) for c, b in poly.terms)
-    integer_values = []
-    for j in range(1, n):
-        qj = poly(j)
-        tol = PROFILE_TOL * max(1.0, scale_at(j))
-        _ensure(abs(qj) <= tol, f"q({j}) = {qj} should vanish")
-        integer_values.append((j, qj))
-    grid_values = []
-    negatives = []
-    for a in alphas:
-        if a <= 0:
-            continue
-        qa = poly(a)
-        grid_values.append((a, qa))
-        tol = PROFILE_TOL * max(1.0, scale_at(a))
-        if a > n - 1:
-            _ensure(qa >= -tol, f"q({a}) = {qa} should be nonnegative beyond n-1")
-        elif qa < -tol and abs(a - round(a)) > 1e-12:
-            negatives.append((a, qa))
-    return PowerDifferenceReport(n, tuple(integer_values), tuple(grid_values), tuple(negatives), PROFILE_TOL)
+    a = float(alpha)
+    s = np.minimum(_set_sums(_Dense(np.array(vals))).values, 1.0)
+    k = _sizes(n)
+    masks = np.arange(1 << n)
+    which = (masks & 1) - (masks >> 1 & 1)  # +1 for B holding 1 only, -1 for B holding 2 only
+    terms = np.where((n + 1 - k) & 1, -1.0, 1.0) * _float_power(s, a - 1)
+    terms -= np.where(k & 1, -1.0, 1.0) * _float_power(1.0 - s, a - 1)
+    return (vals[0] - vals[1]) * a * math.fsum((which * terms).tolist())
 
 
 # --- the multi-component construction ----------------------------------------------

@@ -27,14 +27,9 @@ from cmlat.cm import (
     sharpness_witness,
 )
 from cmlat.lattice import catalog, d_max, diamond_lattice, is_distributive
-from cmlat.moments import (
-    hankel_psd_check,
-    laplace_power_counterexample,
-    two_atom_power_counterexample,
-    two_atom_sequence,
-)
+from cmlat.moments import hankel_psd_check, two_atom_power_counterexample, two_atom_sequence
 from cmlat.randset import RandomSubset, power_exists, singleton_set, uniform_singleton
-from cmlat.scan import construct_multi_interval, scan_S, schur_gradient_check, simplex_form, singleton_alternating_sum
+from cmlat.scan import construct_multi_interval, q_poly, scan_S, schur_gradient_check, simplex_form
 
 
 def _report(name, failures, t0, budget):
@@ -259,7 +254,7 @@ def test_criterion_7_simplex_form_numerics():
         for alpha in (n - 1.5, n - 0.5):
             if alpha <= 0:
                 continue
-            g = singleton_alternating_sum(p, alpha)  # asserts the identity internally
+            g = q_poly(singleton_set(*p), (1 << n) - 1)(alpha)  # the full-set sum, by the oracle
             f = simplex_form(p[:-1], alpha)
             if abs(g - f) > 1e-12 * max(1.0, abs(g)):
                 failures.append(("identity", n, alpha))
@@ -278,7 +273,8 @@ def test_criterion_8_hankel_counterexamples():
         for n in range(2, 9):
             if not hankel_psd_check(seq, n).psd:
                 failures.append(("integer", alpha, n))
-    bridge = laplace_power_counterexample(math.log(2.0), 1.5)
+    # the Laplace bridge: g(t) = (1 + e^{-ty})/2 at the integers is the two-atom sequence at x = e^{-y}
+    bridge = two_atom_power_counterexample(math.exp(-math.log(2.0)), 1.5)
     if bridge.order != cert.order or abs(bridge.min_eigenvalue - cert.min_eigenvalue) > 1e-12:
         failures.append(("bridge", bridge.order, bridge.min_eigenvalue))
     _report("criterion 8: moment-sequence power counterexamples", failures, t0, 30)

@@ -5,7 +5,9 @@ import json
 import math
 import random
 import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -246,7 +248,30 @@ def test_scan_multi_interval_search_failure(capsys):
 def test_scan_schur(capsys):
     code, doc, _ = run(capsys, "scan", "schur", "--x", "0.4,0.2", "--alpha", "1.5")
     assert code == 0
+    assert doc["config"] == {"alpha": 1.5}
     assert doc["result"]["positive"] is True
+
+
+def test_scan_schur_takes_no_step(capsys):
+    # the gradient is in closed form: a step is an unknown option, not a prefix of --help
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "schur", "--x", "0.4,0.2", "--alpha", "1.5", "--h", "1e-6"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --h 1e-6" in captured.err
+
+
+def test_readme_cli_lines_parse():
+    # every command of the README's CLI block names options the parser has;
+    # nothing runs, so no file is opened
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("cmlat ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = cli.build_parser(argv[0]).parse_args(argv)
+        assert (args.group, args.command) == tuple(argv[:2]), line
 
 
 def test_approx_psi(tmp_path, capsys):

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from cmlat import scan
-from cmlat.errors import BudgetExceeded, DomainViolation
+from cmlat.errors import BudgetExceeded, DomainViolation, InvalidProbabilityVector
 from cmlat.randset import RandomSubset, poisson_union, singleton_set, uniform_singleton
 from cmlat.scan import (
     ExponentialPolynomial,
     IntervalSet,
     construct_multi_interval,
-    power_difference_profile,
     q_poly,
     scan_S,
     schur_gradient_check,
     sign_change_bound,
     simplex_form,
-    singleton_alternating_sum,
 )
 
 
@@ -265,6 +263,11 @@ def test_simplex_form_interior_negative():
             assert simplex_form(pt, alpha) < 0
 
 
+def full_set_sum(p, alpha):
+    """The oracle: q_poly of the full set of the singleton law with masses p."""
+    return q_poly(singleton_set(*p), (1 << len(p)) - 1)(alpha)
+
+
 def test_singleton_sum_matches_simplex_form():
     rng = random.Random(13)
     for n in (2, 3, 4, 5, 6):
@@ -273,7 +276,7 @@ def test_singleton_sum_matches_simplex_form():
         for alpha in (n - 1.5, n - 0.5):
             if alpha <= 0:
                 continue
-            g = singleton_alternating_sum(p, alpha)
+            g = full_set_sum(p, alpha)
             f = simplex_form(p[:-1], alpha)
             assert g == pytest.approx(f, abs=1e-12 * max(1.0, abs(g)))
 
@@ -283,25 +286,26 @@ def test_singleton_sum_vanishes_at_one():
     for _ in range(10):
         x = random_singleton(2, rng)
         p = [x.probs[0b01], x.probs[0b10]]
-        assert singleton_alternating_sum(p, 1) == pytest.approx(0.0, abs=1e-14)
+        assert simplex_form(p[:-1], 1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_domain_checks():
     with pytest.raises(DomainViolation):
         simplex_form([0.6, 0.6], 1.5)
     with pytest.raises(DomainViolation):
-        singleton_alternating_sum([0.5, 0.4], 1.5)  # does not sum to one
-    with pytest.raises(DomainViolation):
-        singleton_alternating_sum([0.5, -0.5, 1.0], 1.5)
+        simplex_form([0.5, -0.5], 1.5)
 
 
 def test_singleton_sum_tolerates_float_masses_like_singleton_set():
     # off by more than SUM_TOL: bad input, as singleton_set says
-    with pytest.raises(DomainViolation, match="masses sum to"):
-        singleton_alternating_sum([0.5, 0.5 + 1e-10], 1.5)
-    # within SUM_TOL the simplex-form identity holds up to the sum's error
-    g = singleton_alternating_sum([0.5, 0.5 + 5e-13], 3.7)
+    with pytest.raises(InvalidProbabilityVector, match="masses sum to"):
+        full_set_sum([0.5, 0.5 + 1e-10], 1.5)
+    # the simplex form reads 1 - s_B where masses summing to 1 + 5e-13 give
+    # (sum p) - s_B: the singleton sum moves by the sum's error only
+    p = [0.5, 0.5 + 5e-13]
+    g = simplex_form(p[:-1], 3.7)
     assert g == pytest.approx(1 - 2 * 0.5**3.7, abs=1e-11)
+    assert full_set_sum(p, 3.7) == pytest.approx(g, abs=1e-11)
 
 
 # --- Schur condition -------------------------------------------------------------
@@ -322,7 +326,7 @@ def test_schur_check_matches_analytic_derivative():
 
     want = (x1 - x2) * alpha * (h(x1) - h(x2))
     got = schur_gradient_check([x1, x2], alpha)
-    assert got == pytest.approx(want, rel=1e-5)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_schur_check_random_points():
@@ -336,10 +340,7 @@ def test_schur_check_random_points():
             pt = [v * scale for v in w]
             if abs(pt[0] - pt[1]) < 1e-3:
                 continue
-            val = schur_gradient_check(pt, alpha)
-            assert val > 0, (n, pt)
-            half = schur_gradient_check(pt, alpha, h=0.5e-6 * min(min(pt), 1 - sum(pt)))
-            assert half == pytest.approx(val, rel=0.05)
+            assert schur_gradient_check(pt, alpha) > 0, (n, pt)
             done += 1
 
 
@@ -363,30 +364,40 @@ def test_majorization_consequence():
     assert simplex_form([0.4, 0.2], 1.5) < simplex_form([0.5, 0.1], 1.5)
 
 
-# --- power difference profile ------------------------------------------------------
+# --- the full-set alternating sum as a function of alpha ----------------------------
 
 
 def test_profile_uniform_ones():
-    report = power_difference_profile([1, 1, 1], [0.5, 1.5, 2.5, 3.5])
-    assert report.integer_values[0] == (1, pytest.approx(0.0, abs=1e-12))
-    grid = dict(report.grid_values)
-    assert grid[1.5] == pytest.approx(3**1.5 - 3 * 2**1.5 + 3, abs=1e-12)
-    assert grid[1.5] == pytest.approx(-0.28913, abs=1e-5)
-    assert grid[2.5] >= 0
+    # weights (1, 1, 1): sum_B (-1)^{3-|B|} |B|^alpha = 3^alpha q of the uniform law
+    def q(alpha):
+        return 3**alpha * simplex_form([1 / 3, 1 / 3], alpha)
+
+    assert q(1) == pytest.approx(0.0, abs=1e-12)
+    assert q(1.5) == pytest.approx(3**1.5 - 3 * 2**1.5 + 3, abs=1e-12)
+    assert q(1.5) == pytest.approx(-0.28913, abs=1e-5)
+    assert q(2.5) >= 0
     # the full-set sum is negative only on the last gap (1, 2); at 0.5 the
     # smaller subsets carry the non-existence, not this polynomial
-    assert grid[0.5] == pytest.approx(3**0.5 - 3 * 2**0.5 + 3, abs=1e-12)
-    assert grid[0.5] > 0
-    negs = dict(report.negatives)
-    assert 1.5 in negs and 2.5 not in negs and 0.5 not in negs
+    assert q(0.5) == pytest.approx(3**0.5 - 3 * 2**0.5 + 3, abs=1e-12)
+    assert q(0.5) > 0
 
 
 def test_profile_unnormalized_weights():
-    report = power_difference_profile([0.3, 1.7, 2.2, 0.9], [j + 0.5 for j in range(4)])
-    assert len(report.integer_values) == 3
-    assert all(a < 3 for a, _ in report.negatives)
+    # weights w scale the masses p = w / c: the sum over w is c^alpha times that over p
+    w = [0.3, 1.7, 2.2, 0.9]
+    c = sum(w)
+    by_weights = ExponentialPolynomial(
+        ((-1) ** (4 - bin(mask).count("1")), sum(v for i, v in enumerate(w) if mask >> i & 1))
+        for mask in range(1, 16)
+    )
+    for alpha in (1, 2, 3, 0.5, 1.5, 2.5, 3.5):
+        q = simplex_form([v / c for v in w[:-1]], alpha)
+        assert by_weights(alpha) == pytest.approx(c**alpha * q, abs=1e-12 * c**alpha)
+        if alpha == int(alpha):
+            assert q == pytest.approx(0.0, abs=1e-12)
+    assert simplex_form([v / c for v in w[:-1]], 3.5) >= 0
 
 
 def test_profile_rejects_nonpositive():
-    with pytest.raises(DomainViolation):
-        power_difference_profile([1, 0], [0.5])
+    with pytest.raises(InvalidProbabilityVector, match="must be positive"):
+        full_set_sum([1.0, 0.0], 0.5)

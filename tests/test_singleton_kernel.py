@@ -3,7 +3,9 @@ replaced.
 
 Each ``_loop_*`` function below is the earlier pure-Python evaluation, one
 mask at a time, kept here as the reference: the kernel's pass must give the
-same bits, the same report and the same errors.
+same bits, the same report and the same errors.  The singleton law's
+full-set sum, which ``simplex_form`` evaluates, is checked against the
+``q_poly`` oracle's submask walk instead.
 """
 
 import json
@@ -19,18 +21,9 @@ from hypothesis import strategies as st
 
 from cmlat import scan
 from cmlat._kernel import _coerce
-from cmlat.errors import CmlatError, DomainViolation, SizeLimitExceeded, _ensure
-from cmlat.randset import SUM_TOL, RandomSubset, singleton_set, subset_sums, uniform_singleton
-from cmlat.scan import (
-    PROFILE_TOL,
-    ExponentialPolynomial,
-    PowerDifferenceReport,
-    construct_multi_interval,
-    power_difference_profile,
-    schur_gradient_check,
-    simplex_form,
-    singleton_alternating_sum,
-)
+from cmlat.errors import CmlatError, DomainViolation, SizeLimitExceeded
+from cmlat.randset import RandomSubset, singleton_set, subset_sums, uniform_singleton
+from cmlat.scan import construct_multi_interval, q_poly, schur_gradient_check, simplex_form
 
 # --- the per-mask references -------------------------------------------------
 
@@ -53,61 +46,6 @@ def _loop_simplex_form(x, alpha):
         sgn_com = -1.0 if k & 1 else 1.0
         terms.append(sgn_pos * s**a + sgn_com * (1.0 - s) ** a)
     return math.fsum(terms)
-
-
-def _loop_alternating_sum(vals, alpha):
-    n = len(vals)
-    total = sum(vals)
-    bad = abs(total - 1.0) > SUM_TOL if any(isinstance(v, float) for v in vals) else total != 1
-    if bad:
-        raise DomainViolation(f"masses sum to {total}, not 1")
-    a = float(alpha)
-    last = 1 << (n - 1)
-    acc = []
-    slope = 0.0
-    for mask in range(1, 1 << n):
-        s = math.fsum(float(vals[i]) for i in range(n) if mask >> i & 1)
-        acc.append((-1.0 if (n - bin(mask).count("1")) & 1 else 1.0) * s**a)
-        if mask & last:
-            slope += s ** (a - 1)
-    value = math.fsum(acc)
-    if n >= 2:
-        check = _loop_simplex_form([float(v) for v in vals[:-1]], a)
-        scale = max(1.0, math.fsum(abs(t) for t in acc))
-        drift = abs(total - 1) * a * slope
-        _ensure(abs(value - check) <= 1e-12 * scale + drift, "identity with the simplex form failed")
-    return value
-
-
-def _loop_profile(vals, alpha_grid):
-    n = len(vals)
-    terms = []
-    for mask in range(1, 1 << n):
-        s = sum(vals[i] for i in range(n) if mask >> i & 1)
-        terms.append(((-1) ** ((n - bin(mask).count("1")) & 1), s))
-    poly = ExponentialPolynomial(terms)
-
-    def scale_at(alpha):
-        return math.fsum(abs(float(c)) * float(b) ** float(alpha) for c, b in poly.terms)
-
-    integer_values = []
-    for j in range(1, n):
-        qj = poly(j)
-        _ensure(abs(qj) <= PROFILE_TOL * max(1.0, scale_at(j)), f"q({j}) = {qj} should vanish")
-        integer_values.append((j, qj))
-    grid_values, negatives = [], []
-    for alpha in alpha_grid:
-        a = float(alpha)
-        if a <= 0:
-            continue
-        qa = poly(a)
-        grid_values.append((a, qa))
-        tol = PROFILE_TOL * max(1.0, scale_at(a))
-        if a > n - 1:
-            _ensure(qa >= -tol, f"q({a}) = {qa} should be nonnegative beyond n-1")
-        elif qa < -tol and abs(a - round(a)) > 1e-12:
-            negatives.append((a, qa))
-    return PowerDifferenceReport(n, tuple(integer_values), tuple(grid_values), tuple(negatives), PROFILE_TOL)
 
 
 def _loop_singleton_set(vals):
@@ -171,29 +109,44 @@ def test_simplex_form_is_the_per_mask_loop(raw, extra, rational, data):
     assert _outcome(simplex_form, x, alpha) == _outcome(_loop_simplex_form, x, alpha)
 
 
+def _full_set_sum(p, alpha):
+    """The singleton law's full-set sum from the simplex form, and the
+    q_poly oracle's value with the scale sum_B P{X in B}^alpha of its terms."""
+    n = len(p)
+    singletons = [0.0] * (1 << n)
+    for i, v in enumerate(p):
+        singletons[1 << i] = float(v)
+    scale = math.fsum(np.power(subset_sums(singletons, n), float(alpha)).tolist())
+    return simplex_form(p[:-1], alpha), q_poly(singleton_set(*p), (1 << n) - 1)(alpha), max(1.0, scale)
+
+
 @settings(max_examples=150, deadline=None)
-@given(counts, exact, st.data())
+@given(counts.filter(lambda raw: len(raw) >= 2), exact, st.data())
 def test_alternating_sum_is_the_per_mask_loop(raw, rational, data):
+    # the simplex form at p_1..p_{n-1} against the oracle's submask walk, and
+    # the profile of the sum: zero at the integers 1..n-1, >= 0 beyond n-1
     p = _masses(raw, rational)
-    alpha = data.draw(_alphas(len(p)))
-    assert _outcome(singleton_alternating_sum, p, alpha) == _outcome(_loop_alternating_sum, p, alpha)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(counts, st.lists(st.integers(1, 3), min_size=1, max_size=10)), exact,
-       st.lists(st.floats(-1.0, 12.0), max_size=5), st.data())
-def test_profile_is_the_per_mask_loop(raw, rational, grid, data):
-    # unnormalised weights: a count itself, or a float in (0, 3]; counts of
-    # 1..3 repeat, so many subsets share a sum and their terms merge
-    w = [Fraction(r) for r in raw] if rational else [r / 3.5e5 for r in raw]
-    grid = grid + [data.draw(st.integers(1, len(w) + 1))]
-    assert _outcome(power_difference_profile, w, grid) == _outcome(_loop_profile, w, grid)
+    n = len(p)
+    alpha = data.draw(_alphas(n))
+    value, oracle, scale = _full_set_sum(p, alpha)
+    assert abs(value - oracle) <= 1e-12 * scale, (value, oracle)
+    for j in range(1, n):
+        zero, _, scale_j = _full_set_sum(p, j)
+        assert abs(zero) <= 1e-9 * scale_j, (j, zero)
+    if alpha > n - 1:
+        assert value >= -1e-9 * scale, value
 
 
 @pytest.mark.parametrize("w", [[1] * 12, [0.25] * 12, [1, 2] * 7], ids=["ones", "quarters", "pairs"])
 def test_profile_of_repeated_weights_is_the_per_mask_loop(w):
-    grid = [len(w) - 1.5, len(w) - 0.5, 2.25]
-    assert _outcome(power_difference_profile, w, grid) == _outcome(_loop_profile, w, grid)
+    # many subsets share a sum, so the oracle's terms merge
+    total = sum(w)
+    p = [v / total if isinstance(v, float) else Fraction(v, total) for v in w]
+    n = len(p)
+    for alpha in (n - 1.5, n - 0.5, 2.25):
+        value, oracle, scale = _full_set_sum(p, alpha)
+        assert abs(value - oracle) <= 1e-12 * scale, (alpha, value, oracle)
+    assert _full_set_sum(p, n - 1.5)[0] < 0  # the last gap (n - 2, n - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,8 +195,6 @@ def test_multi_interval_is_the_per_mask_construction(n, k, monkeypatch):
 
 CAPPED = {
     "simplex_form": lambda n: simplex_form([Fraction(1, 2 * n)] * n, 1.5),
-    "singleton_alternating_sum": lambda n: singleton_alternating_sum([Fraction(1, n)] * n, 1.5),
-    "power_difference_profile": lambda n: power_difference_profile([1] * n, [0.5]),
     "schur_gradient_check": lambda n: schur_gradient_check([0.02] + [0.01] * (n - 1), n - 0.5),
 }
 
@@ -265,9 +216,8 @@ def test_ground_sets_above_the_cap_are_refused_before_any_table(name, n):
 def test_non_finite_exponents_are_domain_errors(alpha):
     for call in (
         lambda: simplex_form([0.3, 0.3], alpha),
-        lambda: singleton_alternating_sum([0.5, 0.5], alpha),
-        lambda: singleton_alternating_sum([Fraction(1, 3)] * 3, alpha),
-        lambda: power_difference_profile([1, 1, 1], [0.5, alpha]),
+        lambda: simplex_form([Fraction(1, 3)] * 2, alpha),
+        lambda: schur_gradient_check([0.3, 0.2], alpha),
     ):
         with pytest.raises(DomainViolation):
             call()
@@ -275,8 +225,6 @@ def test_non_finite_exponents_are_domain_errors(alpha):
 
 BEYOND_FLOATS = {
     "simplex_form": lambda alpha: simplex_form([0.3, 0.3], alpha),
-    "singleton_alternating_sum": lambda alpha: singleton_alternating_sum([0.5, 0.5], alpha),
-    "power_difference_profile": lambda alpha: power_difference_profile([1, 1], [1.5, alpha]),
 }
 
 
@@ -294,6 +242,7 @@ def test_the_largest_float_exponent_is_not_refused_as_out_of_range():
 
 
 def test_twenty_points_are_still_accepted():
+    # the singleton law on 20 points, and a point of the simplex in 20 coordinates
     p = [Fraction(1, 20)] * 20
-    assert singleton_alternating_sum(p, 18.5) < 0
-    assert math.isfinite(simplex_form(p[:-1], 18.5))
+    assert simplex_form(p[:-1], 18.5) < 0
+    assert simplex_form([Fraction(1, 21)] * 20, 19.5) < 0
