@@ -123,18 +123,44 @@ def _full_set_sum(p, alpha):
 @settings(max_examples=150, deadline=None)
 @given(counts.filter(lambda raw: len(raw) >= 2), exact, st.data())
 def test_alternating_sum_is_the_per_mask_loop(raw, rational, data):
-    # the simplex form at p_1..p_{n-1} against the oracle's submask walk, and
-    # the profile of the sum: zero at the integers 1..n-1, >= 0 beyond n-1
+    # the simplex form at p_1..p_{n-1} against the oracle's submask walk
     p = _masses(raw, rational)
-    n = len(p)
-    alpha = data.draw(_alphas(n))
+    alpha = data.draw(_alphas(len(p)))
     value, oracle, scale = _full_set_sum(p, alpha)
     assert abs(value - oracle) <= 1e-12 * scale, (value, oracle)
+
+
+def _loop_profile(p, alpha):
+    """sum_B (-1)^(n-|B|) (sum_{i in B} p_i)^alpha, one mask at a time, and the
+    scale sum_B (sum_{i in B} p_i)^alpha of its terms."""
+    n = len(p)
+    terms, sizes = [], []
+    for mask in range(1, 1 << n):
+        s = float(sum(p[i] for i in range(n) if mask >> i & 1)) ** float(alpha)
+        terms.append(-s if (n - bin(mask).count("1")) & 1 else s)
+        sizes.append(s)
+    return math.fsum(terms), max(1.0, math.fsum(sizes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(counts, st.lists(st.integers(1, 3), min_size=1, max_size=10)).filter(lambda raw: len(raw) >= 2),
+       exact, st.lists(st.floats(-1.0, 12.0), max_size=5), st.data())
+def test_profile_is_the_per_mask_loop(raw, rational, grid, data):
+    # counts of 1..3 repeat, so many subsets share a sum; the profile of the
+    # singleton sum is zero at the integers 1..n-1 and >= 0 beyond n-1
+    p = _masses(raw, rational)
+    n = len(p)
     for j in range(1, n):
-        zero, _, scale_j = _full_set_sum(p, j)
-        assert abs(zero) <= 1e-9 * scale_j, (j, zero)
-    if alpha > n - 1:
-        assert value >= -1e-9 * scale, value
+        zero = simplex_form(p[:-1], j)
+        assert abs(zero) <= 1e-9 * _loop_profile(p, j)[1], (j, zero)
+    for alpha in grid + [data.draw(st.integers(1, n + 1))]:
+        if alpha <= 0:
+            continue
+        value = simplex_form(p[:-1], alpha)
+        want, scale = _loop_profile(p, alpha)
+        assert abs(value - want) <= 1e-12 * scale, (alpha, value, want)
+        if alpha > n - 1:
+            assert value >= -1e-9 * scale, (alpha, value)
 
 
 @pytest.mark.parametrize("w", [[1] * 12, [0.25] * 12, [1, 2] * 7], ids=["ones", "quarters", "pairs"])
